@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
 )
 from .generator import GenParams, add_true_twins, random_block_graph, random_strictly_chordal
-from .graph import Graph, connected_components, is_connected, parse_graph, serialize_graph
+from .graph import Graph, connected_components, parse_graph, serialize_graph
 from .oracle import (
     OracleResult,
     brute_force_scattering,
@@ -83,7 +83,6 @@ __all__ = [
     "build_clique_tree",
     "classify",
     "connected_components",
-    "is_connected",
     "is_mcs_order",
     "is_strictly_chordal",
     "mcs_order",

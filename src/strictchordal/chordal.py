@@ -8,7 +8,6 @@ The edge-heavy steps run on numpy arrays so large instances stay cheap.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,114 +15,48 @@ import numpy as np
 from .errors import InternalError, NotChordalError, NotConnectedError
 from .graph import Graph
 
-try:
-    import numba
-except ImportError:  # pure-Python fallback below produces identical output
-    numba = None
 
+def mcs_order(g: Graph) -> list[int]:
+    """Maximum-cardinality-search ordering of g, in O(n + m).
 
-def _mcs_python(g: Graph) -> list[int]:
+    The result is a perfect elimination ordering iff g is chordal.  Vertex 0
+    is visited first, so it ends up last in the ordering; later ties within a
+    weight fall to the vertex that most recently reached that weight (LIFO).
+    The search is the bucket queue of Tarjan and Yannakakis (1984).
+    """
     n = g.n
     adj = g.adj
-    # scaled[v] = weight(v) * n, or -1 once visited.  Heap entries encode
-    # base - scaled[v] + v, so the smallest entry is the max-weight,
-    # smallest-id vertex; stale entries are skipped on pop.
-    scaled = [0] * n
-    base = (n - 1) * n
-    heap = list(range(base, base + n))
-    pop = heapq.heappop
-    push = heapq.heappush
+    # weight[v] counts v's visited neighbours, or is -1 once v is visited.
+    # buckets[w] holds vertices that had weight w when pushed; entries whose
+    # weight has since risen are stale and skipped on pop.  No weight
+    # exceeds the maximum degree.
+    weight = [0] * n
+    buckets = [list(range(n - 1, -1, -1))]
+    buckets += [[] for _ in range(max(map(len, adj), default=0))]
+    top = 0
     visit = []
     append = visit.append
     for _ in range(n):
         while True:
-            entry = pop(heap)
-            v = entry % n
-            if scaled[v] == base - entry + v:
+            bucket = buckets[top]
+            while not bucket:
+                top -= 1
+                bucket = buckets[top]
+            v = bucket.pop()
+            if weight[v] == top:
                 break
-        scaled[v] = -1
+        weight[v] = -1
         append(v)
         for u in adj[v]:
-            su = scaled[u]
-            if su >= 0:
-                su += n
-                scaled[u] = su
-                push(heap, base - su + u)
+            wu = weight[u]
+            if wu >= 0:
+                wu += 1
+                weight[u] = wu
+                buckets[wu].append(u)
+                if wu > top:
+                    top = wu
     visit.reverse()
     return visit
-
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _mcs_kernel(indptr, indices):  # pragma: no cover - exercised via mcs_order
-        n = indptr.shape[0] - 1
-        base = (n - 1) * n
-        scaled = np.zeros(n, dtype=np.int64)
-        capacity = n + indices.shape[0] // 2 + 1
-        heap = np.empty(capacity, dtype=np.int64)
-        for v in range(n):  # base + 0..n-1 is already a valid min-heap
-            heap[v] = base + v
-        size = n
-        visit = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            while True:
-                entry = heap[0]
-                size -= 1
-                last = heap[size]
-                # sift down the last element
-                i = 0
-                child = 1
-                while child < size:
-                    if child + 1 < size and heap[child + 1] < heap[child]:
-                        child += 1
-                    if heap[child] < last:
-                        heap[i] = heap[child]
-                        i = child
-                        child = 2 * i + 1
-                    else:
-                        break
-                heap[i] = last
-                v = entry % n
-                if scaled[v] == base - entry + v:
-                    break
-            scaled[v] = -1
-            visit[n - 1 - k] = v  # reversed visit order is the candidate PEO
-            for j in range(indptr[v], indptr[v + 1]):
-                u = indices[j]
-                su = scaled[u]
-                if su >= 0:
-                    su += n
-                    scaled[u] = su
-                    # sift up the new entry
-                    entry = base - su + u
-                    i = size
-                    size += 1
-                    while i > 0:
-                        up = (i - 1) >> 1
-                        if entry < heap[up]:
-                            heap[i] = heap[up]
-                            i = up
-                        else:
-                            break
-                    heap[i] = entry
-        return visit
-
-
-def mcs_order(g: Graph) -> list[int]:
-    """Maximum-cardinality-search ordering of g.
-
-    The result is a perfect elimination ordering iff g is chordal.  Ties fall
-    to the smallest vertex id, so the first visited vertex is vertex 0 and it
-    ends up last in the ordering.
-    """
-    n = g.n
-    if n == 0:
-        return []
-    if numba is not None:
-        indptr, indices = g.csr()
-        return _mcs_kernel(indptr, indices).tolist()
-    return _mcs_python(g)
 
 
 def _later_orientation(g: Graph, order):

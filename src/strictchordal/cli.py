@@ -377,20 +377,6 @@ def main(argv=None) -> int:
     except (ParseError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotConnectedError as exc:
-        print(f"not connected: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except NotChordalError as exc:
-        print(f"not chordal: {exc}", file=sys.stderr)
-        if exc.cycle is not None:
-            print(f"chordless cycle: {exc.cycle}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except NotStrictlyChordalError as exc:
-        print(f"not strictly chordal: {exc}", file=sys.stderr)
-        if exc.separators is not None:
-            a, b = exc.separators
-            print(f"overlapping separators: {sorted(a)} and {sorted(b)}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

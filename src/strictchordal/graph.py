@@ -211,23 +211,3 @@ def connected_components(g: Graph, removed=frozenset()):
         count += 1
     return count, labels
 
-
-def is_connected(g: Graph) -> bool:
-    """True iff g has exactly one connected component."""
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    adj = g.adj
-    reached = 1
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(w)
-    return reached == g.n

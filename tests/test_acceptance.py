@@ -40,7 +40,7 @@ def criterion(num, description):
 
 
 def best_analyze_seconds(g, repeats=5):
-    analyze(g)  # warm caches and the JIT kernel outside the clock
+    analyze(g)  # warm caches outside the clock
     best = None
     for _ in range(repeats):
         tick = time.perf_counter()
@@ -174,7 +174,7 @@ def test_criterion_7_linear_time_band():
                 seed=7 + i, target_n=size, max_block_size=6, max_twins=1))
             for i, size in enumerate(sizes)
         ]
-        analyze(graphs[0])  # warm the JIT kernel and numpy
+        analyze(graphs[0])  # warm numpy
         times = []
         for g in graphs:
             best = None

@@ -107,7 +107,9 @@ def test_verify_peo_matches_definition_on_random_orders(seed, n):
 def test_mcs_peo_iff_chordal(seed, n):
     rng = random.Random(seed)
     g = random_graph(rng, n, 0.45)
-    assert verify_peo(g, mcs_order(g)) == nx.is_chordal(to_nx(g))
+    order = mcs_order(g)
+    assert is_mcs_order(g, order)
+    assert verify_peo(g, order) == nx.is_chordal(to_nx(g))
 
 
 # --- build_clique_tree -----------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture, path_graph, complete_graph, random_graph, uf_components
-from strictchordal import Graph, connected_components, is_connected, parse_graph, serialize_graph
+from strictchordal import Graph, connected_components, parse_graph, serialize_graph
 from strictchordal.errors import ParseError
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
@@ -121,11 +121,11 @@ def test_component_ids_follow_smallest_vertex():
 
 
 def test_is_connected():
-    assert is_connected(path_graph(3))
-    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
-    assert is_connected(load_fixture("fig2_g1.gr"))
-    assert not is_connected(Graph(0))
-    assert is_connected(Graph(1))
+    assert connected_components(path_graph(3))[0] == 1
+    assert connected_components(Graph(4, [(0, 1), (2, 3)]))[0] == 2
+    assert connected_components(load_fixture("fig2_g1.gr"))[0] == 1
+    assert connected_components(Graph(0))[0] == 0
+    assert connected_components(Graph(1))[0] == 1
 
 
 def test_components_match_union_find_on_random_pairs():
