@@ -2,67 +2,106 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ParseError
+
+# Largest vertex count a graph may declare.  It bounds what a header line can
+# make the parser allocate, and keeps the edge keys tail * n + head in int64.
+MAX_VERTICES = 10**7
+
+_INT = re.compile(r"-?[0-9]+")
 
 
 class Graph:
     """Immutable simple undirected graph with dense 0-based vertex ids.
 
-    ``adj[v]`` is the sorted neighbour list of ``v``.  ``id_base`` records the
-    numbering used by the source file (1 for DIMACS-like files, 0 for plain
-    edge lists) so that reports can echo the ids the user wrote.  Duplicate
-    edges passed to the constructor are collapsed and counted.
+    The stored form is CSR: ``csr()`` returns int64 arrays ``(indptr,
+    indices)``, and the neighbours of ``v`` are
+    ``indices[indptr[v]:indptr[v + 1]]`` in increasing order.  ``adj[v]`` is
+    the same sorted neighbour list as a Python list; the lists are built from
+    the arrays on first use.  ``id_base`` records the numbering used by the
+    source file (1 for DIMACS-like files, 0 for plain edge lists) so that
+    reports can echo the ids the user wrote.  Duplicate edges passed to the
+    constructor are collapsed and counted.
     """
 
-    __slots__ = ("n", "m", "adj", "duplicate_edge_count", "id_base", "_csr")
+    __slots__ = ("n", "m", "duplicate_edge_count", "id_base", "_csr", "_adj")
 
     def __init__(self, n: int, edges=(), id_base: int = 1):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-        dup = 0
-        m2 = 0
-        for v in range(n):
-            nbrs = sorted(set(adj[v]))
-            dup += len(adj[v]) - len(nbrs)
-            adj[v] = nbrs
-            m2 += len(nbrs)
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count exceeds {MAX_VERTICES}")
+        pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        u, v = pairs[:, 0], pairs[:, 1]
+        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = out | (u == v)
+        if bad.any():
+            i = int(bad.argmax())
+            if out[i]:
+                raise ValueError(f"vertex id out of range: ({u[i]}, {v[i]})")
+            raise ValueError(f"self-loop at vertex {u[i]}")
+        self._build(n, u, v, id_base)
+
+    @classmethod
+    def _from_arrays(cls, n: int, u, v, id_base: int) -> Graph:
+        """Graph from int64 endpoint arrays already checked for range and
+        self-loops, with ``n <= MAX_VERTICES``."""
+        g = cls.__new__(cls)
+        g._build(n, u, v, id_base)
+        return g
+
+    def _build(self, n, u, v, id_base):
+        # Both directions of every edge as keys tail * n + head; sorting
+        # groups them by tail with heads ascending, and a mask drops repeats.
+        # (np.unique is far slower on such wide-range keys.)
+        half = len(u)
+        keys = np.empty(2 * half, dtype=np.int64)
+        np.multiply(u, n, out=keys[:half])
+        keys[:half] += v
+        np.multiply(v, n, out=keys[half:])
+        keys[half:] += u
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        keys = keys[fresh]
+        self.m = len(keys) // 2
+        indices = keys % n
+        keys //= n  # the tail of each entry
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
         self.n = n
-        self.m = m2 // 2
-        self.adj = adj
-        self.duplicate_edge_count = dup // 2
+        self.duplicate_edge_count = half - self.m
         self.id_base = id_base
-        self._csr = None
+        self._csr = (indptr, indices)
+        self._adj = None
+
+    @property
+    def adj(self) -> list[list[int]]:
+        """Sorted neighbour lists, built from the CSR arrays on first use."""
+        if self._adj is None:
+            indptr, indices = self._csr
+            flat = indices.tolist()
+            bounds = indptr.tolist()
+            self._adj = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._adj
 
     def edges(self):
-        """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v > u:
-                    yield u, v
+        """Iterate over each edge once as (u, v) with u < v, in sorted order."""
+        indptr, indices = self._csr
+        tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        upper = indices > tails
+        return zip(tails[upper].tolist(), indices[upper].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        indptr = self._csr[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def csr(self):
-        """Adjacency as numpy CSR arrays (indptr, indices), cached."""
-        if self._csr is None:
-            deg = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            indices = np.fromiter(
-                (w for a in self.adj for w in a), dtype=np.int64, count=2 * self.m
-            )
-            self._csr = (indptr, indices)
+        """Adjacency as numpy CSR arrays (indptr, indices), the stored form."""
         return self._csr
 
     def __repr__(self):
@@ -76,9 +115,141 @@ def parse_graph(text: str) -> Graph:
        1-based ids; ``c`` comment lines are ignored.
     2. Plain edge list: first line ``<n> <m>``, then ``<u> <v>`` 0-based.
 
-    Duplicate edges are collapsed (the count is kept on the graph); self-loops
-    and out-of-range ids raise ParseError.
+    Numbers are ASCII decimal integers (``-?[0-9]+``) and ``n`` is at most
+    ``MAX_VERTICES``.  Duplicate edges are collapsed (the count is kept on the
+    graph); self-loops and out-of-range ids raise ParseError.
+
+    ASCII text is read by one numpy scan of its bytes.  Text the scan finds
+    any fault in, and non-ASCII text, goes through the line-by-line parser,
+    which raises the ParseError with its line number.
     """
+    if text.isascii():
+        g = _scan(text)
+        if g is not None:
+            return g
+    return _parse_lines(text)
+
+
+def _scan(text: str) -> Graph | None:
+    """Graph of ASCII ``text``, or None where ``_parse_lines`` would raise.
+
+    Tokens and lines are cut as ``str.split`` and ``str.splitlines`` cut
+    them, and the checks are those of the line parser, run as array masks.
+    """
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    starts, ends, head = _tokens(buf)
+    if len(starts) == 0:
+        return None
+    first = np.flatnonzero(head)  # first token of each non-blank line
+    count = np.diff(np.append(first, len(head)))
+    del head
+    lead = buf[starts[first]]
+    single = ends[first] - starts[first] == 1
+
+    def token(i):
+        return text[starts[i]:ends[i]]
+
+    if single[0] and int(lead[0]) in b"cp":
+        # DIMACS-like: past the comment lines, one p line, then e lines
+        body = ~(single & (lead == ord("c")))
+        first, count, lead, single = first[body], count[body], lead[body], single[body]
+        if not (len(first) and single[0] and lead[0] == ord("p") and count[0] == 4
+                and token(first[0] + 1) == "edge"
+                and (single[1:] & (lead[1:] == ord("e")) & (count[1:] == 3)).all()):
+            return None
+        header, ids, base = first[0] + 2, first[1:] + 1, 1
+    else:  # plain: a header line and edge lines of two numbers each
+        if not (count == 2).all():
+            return None
+        header, ids, base = first[0], first[1:], 0
+    del first, count, lead, single
+    try:
+        n = _parse_int(token(header), "vertex count", 0)
+        _parse_int(token(header + 1), "edge count", 0)
+    except ParseError:
+        return None
+    if not 0 <= n <= MAX_VERTICES:
+        return None
+    ids = np.concatenate((ids, ids + 1))
+    id_starts, id_ends = starts[ids], ends[ids]
+    del starts, ends, ids
+    values = _scan_ints(text, buf, id_starts, id_ends)
+    del buf, id_starts, id_ends
+    if values is None:
+        return None
+    values -= base
+    u, v = values[: len(values) // 2], values[len(values) // 2:]
+    if ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)).any():
+        return None
+    return Graph._from_arrays(n, u, v, base)
+
+
+def _between(buf, lo, hi):
+    """Mask of the bytes in lo..hi (uint8 arithmetic wraps the rest above)."""
+    return buf - np.uint8(lo) <= hi - lo
+
+
+def _spaces(buf):
+    """Mask of the ASCII bytes ``str.split()`` separates tokens at."""
+    return _between(buf, 9, 13) | _between(buf, 28, 32)
+
+
+def _breaks(buf):
+    """Mask of the ASCII bytes ``str.splitlines()`` ends lines at."""
+    return _between(buf, 10, 13) | _between(buf, 28, 30)
+
+
+def _tokens(buf):
+    """``(starts, ends, head)`` of the whitespace-separated tokens of ASCII
+    bytes ``buf``: token i is ``buf[starts[i]:ends[i]]``, and ``head[i]`` is
+    True when it is the first token of its line."""
+    space = np.ones(len(buf) + 2, dtype=bool)  # padded with a space each side
+    space[1:-1] = _spaces(buf)
+    starts = np.flatnonzero(space[:-2] > space[1:-1])
+    ends = np.flatnonzero(space[1:-1] < space[2:])
+    ends += 1
+    del space
+    # The first token after each line break opens a line, and so does token 0.
+    head = np.zeros(len(starts) + 1, dtype=bool)
+    head[np.searchsorted(starts, np.flatnonzero(_breaks(buf)))] = True
+    head[0] = True
+    return starts, ends, head[:-1]
+
+
+def _scan_ints(text, buf, starts, ends):
+    """The tokens ``text[starts[i]:ends[i]]`` as int64 values, or None if one
+    is not ``-?[0-9]+`` or is beyond 18 digits once leading zeros are dropped
+    (too large for a vertex id).  Overwrites ``starts`` and ``ends``."""
+    value = np.zeros(len(starts), dtype=np.int64)
+    if len(starts) == 0:
+        return value
+    neg = buf[starts] == ord("-")
+    starts += neg
+    for i in np.flatnonzero(ends - starts > 18):
+        if text[starts[i]:ends[i] - 18].strip("0"):
+            return None
+        starts[i] = ends[i] - 18
+    width = ends
+    width -= starts
+    if width.min() < 1:
+        return None
+    # starts[i] + k is the k-th digit of token i while k < width[i]; later
+    # positions are clipped to stay inside buf and their bytes ignored.
+    pos, last = starts, len(buf) - 1
+    for k in range(int(width.max())):
+        np.minimum(pos, last, out=pos)
+        digit = buf[pos] - np.uint8(ord("0"))  # wraps above 9 for non-digits
+        live = width > k
+        if (live & (digit > 9)).any():
+            return None
+        np.multiply(value, 10, out=value, where=live)
+        np.add(value, digit, out=value, where=live)
+        pos += 1
+    np.negative(value, out=value, where=neg)
+    return value
+
+
+def _parse_lines(text: str) -> Graph:
     lines = text.splitlines()
     first = None
     for line in lines:
@@ -94,10 +265,12 @@ def parse_graph(text: str) -> Graph:
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected integer {what}, got {token!r}", line_no) from None
+    if _INT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # beyond the interpreter's limit on digits
+            pass
+    raise ParseError(f"expected integer {what}, got {token!r}", line_no)
 
 
 def _parse_dimacs(lines) -> Graph:
@@ -117,6 +290,8 @@ def _parse_dimacs(lines) -> Graph:
             _parse_int(tokens[3], "edge count", line_no)
             if n < 0:
                 raise ParseError("vertex count must be non-negative", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
         elif kind == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line_no)
@@ -151,6 +326,8 @@ def _parse_plain(lines) -> Graph:
             n = a
             if n < 0:
                 raise ParseError("vertex count must be non-negative", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
             continue
         if not (0 <= a < n and 0 <= b < n):
             raise ParseError(f"vertex id out of range 0..{n - 1}", line_no)

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture, path_graph, complete_graph, random_graph, uf_components
 from strictchordal import Graph, connected_components, parse_graph, serialize_graph
+from strictchordal import graph as graph_module
 from strictchordal.errors import ParseError
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
@@ -31,8 +33,15 @@ def test_parse_fig2_g2_fixture():
 
 
 def test_parse_comments_and_blank_lines():
-    g = parse_graph("c a comment\n\np edge 2 1\nc another\ne 1 2\n")
-    assert (g.n, g.m) == (2, 1)
+    for text in [
+        "c a comment\n\np edge 2 1\nc another\ne 1 2\n",
+        "c a comment\r\n\r\np edge 2 1\r\nc another\r\ne 1 2\r\n",
+        "c a\tcomment\n\np\tedge 2 1\nc another\ne\t1\t2\n",
+        "\n  \n\t\np edge 2 1\ne 1 2\n",
+        "c a commént, ünïcode\n\np edge 2 1\nc another\ne 1 2\n",
+    ]:
+        g = parse_graph(text)
+        assert (g.n, g.m, g.adj) == (2, 1, [[1], [0]])
 
 
 @pytest.mark.parametrize("text", [
@@ -47,10 +56,79 @@ def test_parse_comments_and_blank_lines():
     "3 2\n0 3\n",                   # plain out of range
     "3 2\n0 1 2\n",                 # plain arity
     "",                             # empty
+    "p edge 100000000000 0\n",      # vertex count above MAX_VERTICES
+    "100000000000 0\n",             # plain vertex count above MAX_VERTICES
+    "p edge 3 2\ne +1 2\n",        # signs other than '-'
+    "p edge 3 2\ne 1_0 2\n",       # digit separators
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+# Lines as the two formats write them, and junk, from a small token alphabet;
+# numbers include leading zeros, signs and values too long for the scan.
+_NUM = st.sampled_from(["0", "1", "2", "3", "4", "-1", "-0", "007", "1" * 19,
+                        "0" * 19 + "2", "1" + "0" * 18 + "3", "+1", "1_0", "0:", "/"])
+_WORD = st.sampled_from(["p", "e", "c", "edge"])
+_LINE = st.one_of(
+    st.tuples(st.just("e"), _NUM, _NUM),
+    st.tuples(st.just("e"), _NUM, _NUM),
+    st.tuples(_NUM, _NUM),
+    st.tuples(_NUM, _NUM),
+    st.tuples(st.just("c"), _WORD, _NUM),
+    st.tuples(st.just("p"), st.just("edge"), _NUM, _NUM),
+    st.lists(st.one_of(_WORD, _NUM), max_size=4).map(tuple),
+)
+_GAP = st.sampled_from([" ", "\t", " \t ", "\x1f"])
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\n\n", "\n \n", "\x1c"])
+
+
+@st.composite
+def _graph_texts(draw):
+    dimacs = draw(st.booleans())
+    ids = ["1", "2", "3", "4"] if dimacs else ["0", "1", "2", "3"]
+    some_id = st.sampled_from(ids)
+    pair = st.one_of(*[st.permutations(ids).map(lambda p: p[:2])] * 4,
+                     st.tuples(some_id, _NUM), st.tuples(_NUM, some_id))
+    edge = pair.map(lambda p: ("e", *p) if dimacs else tuple(p))
+    header = st.just(("p", "edge", "12", "2") if dimacs else ("12", "2"))
+    # now and then a token too many or too few
+    edge, header = (s.flatmap(lambda t: st.sampled_from([t, t, t, t + ("1",), t[:-1]]))
+                    for s in (edge, header))
+    lines = [draw(header)] + draw(st.lists(st.one_of(edge, edge, edge, _LINE), max_size=6))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), ("c", "x"))
+    text = draw(st.sampled_from(["", "\n", " "]))
+    for line in lines:
+        for i, token in enumerate(line):
+            text += (draw(_GAP) if i else "") + token
+        text += draw(_BREAK)
+    return text
+
+
+def test_scan_byte_classes_match_str_methods():
+    chars = [chr(c) for c in range(128)]
+    buf = np.arange(128, dtype=np.uint8)
+    assert graph_module._spaces(buf).tolist() == [c.isspace() for c in chars]
+    assert graph_module._breaks(buf).tolist() == [len(f"a{c}a".splitlines()) == 2 for c in chars]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_graph_texts())
+def test_scan_agrees_with_line_parser(text):
+    try:
+        expected = graph_module._parse_lines(text)
+    except ParseError:
+        expected = None
+    got = graph_module._scan(text)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert ((got.n, got.m, got.adj, got.duplicate_edge_count, got.id_base)
+                == (expected.n, expected.m, expected.adj,
+                    expected.duplicate_edge_count, expected.id_base))
 
 
 def test_duplicate_edges_collapsed():
