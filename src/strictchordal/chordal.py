@@ -22,17 +22,21 @@ def mcs_order(g: Graph) -> list[int]:
     The result is a perfect elimination ordering iff g is chordal.  Vertex 0
     is visited first, so it ends up last in the ordering; later ties within a
     weight fall to the vertex that most recently reached that weight (LIFO).
-    The search is the bucket queue of Tarjan and Yannakakis (1984).
+    The search is the bucket queue of Tarjan and Yannakakis (1984).  It reads
+    only the CSR arrays of ``g.csr()``: each visited vertex's neighbours are
+    one slice of ``indices`` (as a Python list) bounded by ``indptr``.
     """
     n = g.n
-    adj = g.adj
+    indptr, indices = g.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
     # weight[v] counts v's visited neighbours, or is -1 once v is visited.
     # buckets[w] holds vertices that had weight w when pushed; entries whose
     # weight has since risen are stale and skipped on pop.  No weight
     # exceeds the maximum degree.
     weight = [0] * n
     buckets = [list(range(n - 1, -1, -1))]
-    buckets += [[] for _ in range(max(map(len, adj), default=0))]
+    buckets += [[] for _ in range(int(np.diff(indptr).max(initial=0)))]
     top = 0
     visit = []
     append = visit.append
@@ -47,7 +51,7 @@ def mcs_order(g: Graph) -> list[int]:
                 break
         weight[v] = -1
         append(v)
-        for u in adj[v]:
+        for u in flat[bounds[v]:bounds[v + 1]]:
             wu = weight[u]
             if wu >= 0:
                 wu += 1
@@ -59,59 +63,49 @@ def mcs_order(g: Graph) -> list[int]:
     return visit
 
 
-def _later_orientation(g: Graph, order):
-    """Orient each edge toward the later endpoint of ``order``.
+def _orient(g: Graph, order):
+    """Orient every edge of g toward its endpoint later in ``order``.
 
-    Returns (pos, sizes, follower, indptr, later) where ``later`` holds the
-    later neighbours of every vertex, grouped by vertex and sorted by
-    position, ``sizes`` the group lengths, and ``follower[v]`` the later
-    neighbour of v with the smallest position (-1 if none).
+    Reads the CSR arrays only.  Returns ``(pos, tails, heads, sizes,
+    follower, bad)``: ``pos[v]`` is v's index in ``order``; edge j runs from
+    ``tails[j]`` to its later endpoint ``heads[j]``, grouped by tail with
+    heads ascending; ``sizes[v]`` counts v's later neighbours and
+    ``follower[v]`` is the one of least position (-1 if none).  ``bad``
+    holds the triples (u, follower(u), w) failing the follower test, by u and
+    then by w's position: every later neighbour w of u other than its
+    follower must be adjacent to the follower, so ``bad`` is empty iff
+    ``order`` is a perfect elimination ordering.
     """
     n = g.n
-    csr_indptr, csr_indices = g.csr()
+    indptr, indices = g.csr()
+    order = np.asarray(order, dtype=np.int64)
     pos = np.empty(n, dtype=np.int64)
-    pos[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr_indptr))
-    keep = pos[csr_indices] > pos[tails]
-    t = tails[keep]
-    h = csr_indices[keep]
-    sort = np.lexsort((pos[h], t))
-    t = t[sort]
-    h = h[sort]
-    sizes = np.bincount(t, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
+    pos[order] = np.arange(n, dtype=np.int64)
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    head_pos = pos[indices]
+    # integer takes: boolean indexing by this irregular mask is much slower
+    later = np.flatnonzero(head_pos > pos[tails])
+    tails = tails[later]
+    heads = indices[later]
+    head_pos = head_pos[later]
+    sizes = np.bincount(tails, minlength=n)
     follower = np.full(n, -1, dtype=np.int64)
-    nonempty = sizes > 0
-    follower[nonempty] = h[indptr[:-1][nonempty]]
-    return pos, sizes, follower, indptr, h
-
-
-def _peo_violations(g: Graph, sizes, follower, indptr, later):
-    """Triples (u, follower(u), w) violating the follower test.
-
-    Empty arrays iff the underlying order is a perfect elimination ordering:
-    every later neighbour of u other than its follower must be adjacent to
-    the follower.
-    """
-    n = g.n
-    csr_indptr, csr_indices = g.csr()
-    u_all = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    slot_first = np.zeros(len(later), dtype=bool)
-    slot_first[indptr[:-1][sizes > 0]] = True
-    u = u_all[~slot_first]
-    w = later[~slot_first]
-    if len(u) == 0:
-        return u, u, u
-    fu = follower[u]
-    # Edge keys are already sorted: tails ascend and neighbour lists are sorted.
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr_indptr)) * n + csr_indices
-    quer = fu * n + w
-    ins = np.searchsorted(keys, quer)
-    ins_c = np.minimum(ins, len(keys) - 1)
-    found = (ins < len(keys)) & (keys[ins_c] == quer)
-    bad = ~found
-    return u[bad], fu[bad], w[bad]
+    has_later = sizes > 0
+    if len(tails):
+        group_start = (np.cumsum(sizes) - sizes)[has_later]
+        follower[has_later] = order[np.minimum.reduceat(head_pos, group_start)]
+    # w comes after follower(u), so the edge (follower(u), w), if present, is
+    # one of the oriented keys tail * n + head, sorted as tails and heads ascend
+    keys = tails * n + heads
+    fu = follower[tails]
+    query = fu * n + heads
+    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+    fail = ~found & (heads != fu)
+    u, fu, w = tails[fail], fu[fail], heads[fail]
+    if len(u):
+        by_pos = np.lexsort((pos[w], u))
+        u, fu, w = u[by_pos], fu[by_pos], w[by_pos]
+    return pos, tails, heads, sizes, follower, (u, fu, w)
 
 
 def _check_permutation(g: Graph, order) -> np.ndarray:
@@ -130,7 +124,9 @@ def is_mcs_order(g: Graph, order) -> bool:
     elimination ordering that no MCS run produces can group cliques wrongly.
     """
     n = g.n
-    adj = g.adj
+    indptr, indices = g.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
     weight = [0] * n
     unvisited_at = [0] * (n + 1)  # unvisited vertices per weight value
     unvisited_at[0] = n
@@ -144,7 +140,7 @@ def is_mcs_order(g: Graph, order) -> bool:
             return False
         visited[v] = True
         unvisited_at[wv] -= 1
-        for u in adj[v]:
+        for u in flat[bounds[v]:bounds[v + 1]]:
             if not visited[u]:
                 wu = weight[u]
                 unvisited_at[wu] -= 1
@@ -159,9 +155,7 @@ def is_mcs_order(g: Graph, order) -> bool:
 def verify_peo(g: Graph, order) -> bool:
     """True iff ``order`` is a perfect elimination ordering of g."""
     _check_permutation(g, order)
-    pos, sizes, follower, indptr, later = _later_orientation(g, order)
-    u, _, _ = _peo_violations(g, sizes, follower, indptr, later)
-    return len(u) == 0
+    return len(_orient(g, order)[-1][0]) == 0
 
 
 def find_chordless_cycle(g: Graph, u: int, a: int, b: int):
@@ -169,8 +163,10 @@ def find_chordless_cycle(g: Graph, u: int, a: int, b: int):
 
     The interior of the cycle is a shortest a-b path avoiding N[u] outside
     {a, b}; shortest paths are induced, and u sees only a and b on the cycle.
+    Neighbours are read as slices of the CSR arrays.
     """
-    blocked = set(g.adj[u])
+    indptr, indices = g.csr()
+    blocked = set(indices[indptr[u]:indptr[u + 1]].tolist())
     blocked.add(u)
     blocked.discard(a)
     blocked.discard(b)
@@ -182,7 +178,7 @@ def find_chordless_cycle(g: Graph, u: int, a: int, b: int):
         head += 1
         if v == b:
             break
-        for x in g.adj[v]:
+        for x in indices[indptr[v]:indptr[v + 1]].tolist():
             if x not in blocked and x not in parent:
                 parent[x] = v
                 queue.append(x)
@@ -206,7 +202,9 @@ class CliqueTree:
     ``clique_indices[clique_indptr[q]:clique_indptr[q+1]]``, representative
     vertex first and the overlap with the parent clique (the separator of the
     edge toward it, ``sep_len[q]`` vertices) last.  Tree edge e joins
-    ``edge_child[e]`` to ``edge_parent[e]``.
+    ``edge_child[e]`` to ``edge_parent[e]``.  All of it is computed from the
+    graph's CSR arrays (``g.csr()``) and the search order, never from
+    Python neighbour lists.
     """
 
     n_vertices: int
@@ -270,12 +268,14 @@ def build_clique_tree(g: Graph, order=None) -> CliqueTree:
 
 
 def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
-    pos, sizes, follower, indptr, later = _later_orientation(g, order)
+    n = g.n
+    peo = list(order)
+    order = np.asarray(peo, dtype=np.int64)
+    pos, tails, heads, sizes, follower, (bad_u, bad_f, bad_w) = _orient(g, order)
     # a connected graph has exactly one vertex without later neighbours (the
     # last of the ordering); each extra one starts another component
-    if g.n == 0 or int((sizes == 0).sum()) != 1:
+    if n == 0 or int((sizes == 0).sum()) != 1:
         raise NotConnectedError("clique tree requires a connected graph")
-    bad_u, bad_f, bad_w = _peo_violations(g, sizes, follower, indptr, later)
     if len(bad_u):
         cycle = None
         for u, a, b in zip(bad_u.tolist(), bad_f.tolist(), bad_w.tolist()):
@@ -284,62 +284,45 @@ def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
                 break
         raise NotChordalError("graph is not chordal", cycle=cycle)
 
-    n = g.n
-    sizes_l = sizes.tolist()
-    follower_l = follower.tolist()
-    clique_of = [0] * n
-    reps = []
-    edge_child = []
-    edge_parent = []
-    cur = -1
-    cur_size = 0
-    for v in reversed(order):
-        sv = sizes_l[v]
-        if cur >= 0 and sv == cur_size:
-            clique_of[v] = cur
-            cur_size += 1
-        else:
-            if sv > cur_size:
-                raise InternalError("MCS weight exceeded the current clique size")
-            cur = len(reps)
-            reps.append(v)
-            clique_of[v] = cur
-            cur_size = sv + 1
-            if sv > 0:
-                edge_child.append(cur)
-                edge_parent.append(clique_of[follower_l[v]])
-
-    # clique q = vertices numbered into it + the overlap its representative
-    # shares with the parent clique (the representative's later neighbours)
-    reps_arr = np.asarray(reps, dtype=np.int64)
-    clique_arr = np.asarray(clique_of, dtype=np.int64)
+    # sizes[v] is v's weight when the search visited it.  The clique being
+    # built after visit step i-1 has sizes[visit[i-1]] + 1 vertices; v joins
+    # it when its weight equals that size and starts a new clique otherwise.
+    visit = order[::-1]
+    weight = sizes[visit]
+    if (weight[1:] > weight[:-1] + 1).any():
+        raise InternalError("MCS weight exceeded the current clique size")
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = weight[1:] != weight[:-1] + 1
+    clique_of = np.empty(n, dtype=np.int64)
+    clique_of[visit] = np.cumsum(starts) - 1
+    reps = visit[starts]
     k = len(reps)
-    assigned_counts = np.bincount(clique_arr, minlength=k)
-    madj_lens = sizes[reps_arr]
+    sep_len = sizes[reps]
+    # clique q = the vertices numbered into it, in visit order (representative
+    # first), then the overlap its representative shares with the parent
+    # clique: the representative's later neighbours, by position
+    is_rep = np.zeros(n, dtype=bool)
+    is_rep[reps] = True
+    in_overlap = is_rep[tails]
+    keys = clique_of[tails[in_overlap]] * n + pos[heads[in_overlap]]
+    keys.sort()
+    numbered = np.diff(np.append(np.flatnonzero(starts), n))
+    in_sep = np.repeat(np.tile([False, True], k),
+                       np.stack((numbered, sep_len), axis=1).ravel())
+    out = np.empty(len(in_sep), dtype=np.int64)
+    out[~in_sep] = visit
+    out[in_sep] = order[keys % n]
     out_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(assigned_counts + madj_lens, out=out_indptr[1:])
-    out = np.empty(int(out_indptr[-1]), dtype=np.int64)
-    # vertices grouped by clique, visit order within (representative first)
-    assigned = np.lexsort((-pos, clique_arr))
-    a_grp = clique_arr[assigned]
-    a_within = np.arange(n, dtype=np.int64) - np.repeat(
-        np.cumsum(assigned_counts) - assigned_counts, assigned_counts)
-    out[out_indptr[a_grp] + a_within] = assigned
-    total_madj = int(madj_lens.sum())
-    if total_madj:
-        grp = np.repeat(np.arange(k, dtype=np.int64), madj_lens)
-        within = np.arange(total_madj, dtype=np.int64) - np.repeat(
-            np.cumsum(madj_lens) - madj_lens, madj_lens)
-        out[out_indptr[grp] + assigned_counts[grp] + within] = \
-            later[indptr[reps_arr][grp] + within]
+    np.cumsum(numbered + sep_len, out=out_indptr[1:])
+    # each non-root clique hangs off the clique of its representative's follower
     return CliqueTree(
         n_vertices=n,
-        peo=list(order),
+        peo=peo,
         clique_indptr=out_indptr,
         clique_indices=out,
-        sep_len=madj_lens,
-        edge_child=np.asarray(edge_child, dtype=np.int64),
-        edge_parent=np.asarray(edge_parent, dtype=np.int64),
+        sep_len=sep_len,
+        edge_child=np.arange(1, k, dtype=np.int64),
+        edge_parent=clique_of[follower[reps[1:]]],
     )
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
+import numpy as np
+
+from .graph import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)
@@ -84,24 +86,40 @@ def random_block_graph(params: GenParams) -> Graph:
 def add_true_twins(g: Graph, params: GenParams) -> Graph:
     """Add 0..max_twins true twins to each vertex of g.
 
-    A twin of v gets the closed neighbourhood of v at the moment it is
-    added, so twins of one vertex are mutually adjacent and twins of
-    adjacent vertices end up adjacent.  With a block graph input the result
-    is strictly chordal by construction.
+    The result is the true-twin blow-up of g: each vertex v becomes a clique
+    C(v) of v and its twins, and C(u) x C(v) is complete for every edge uv,
+    so with a block graph input it is strictly chordal by construction.
+    Twins are numbered from g.n on, those of vertex 0 first.
     """
     rng = _twin_rng(params)
-    adj = [list(nbrs) for nbrs in g.adj]
-    n = g.n
-    for v in range(g.n):
-        for _ in range(rng.randint(0, params.max_twins)):
-            w = n
-            n += 1
-            closed = adj[v] + [v]
-            adj.append(closed)
-            for x in closed:
-                adj[x].append(w)
-    edges = ((u, w) for u in range(n) for w in adj[u] if w > u)
-    return Graph(n, edges, id_base=1)
+    counts = np.array([rng.randint(0, params.max_twins) for _ in range(g.n)], dtype=np.int64)
+    n = g.n + int(counts.sum())
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count exceeds {MAX_VERTICES}")
+    # members[start[v]:start[v + 1]] = C(v), v first and then its twins
+    size = counts + 1
+    start = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(size, out=start[1:])
+    members = np.empty(n, dtype=np.int64)
+    members[start[:-1]] = np.arange(g.n, dtype=np.int64)
+    is_twin = np.ones(n, dtype=bool)
+    is_twin[start[:-1]] = False
+    members[is_twin] = np.arange(g.n, n, dtype=np.int64)
+    # one block of |C(a)| x |C(b)| endpoint pairs per class pair (a, b): every
+    # edge of g, then every vertex paired with itself (keeping a < b inside)
+    indptr, indices = g.csr()
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    upper = indices > tails
+    a = np.concatenate((tails[upper], np.arange(g.n, dtype=np.int64)))
+    b = np.concatenate((indices[upper], np.arange(g.n, dtype=np.int64)))
+    block = size[a] * size[b]
+    pair = np.repeat(np.arange(len(a), dtype=np.int64), block)
+    j = np.arange(len(pair), dtype=np.int64) - np.repeat(np.cumsum(block) - block, block)
+    i, k = np.divmod(j, size[b][pair])
+    keep = (a != b)[pair] | (i < k)
+    u = members[start[a][pair] + i][keep]
+    w = members[start[b][pair] + k][keep]
+    return Graph._from_arrays(n, u, w, id_base=1)
 
 
 def random_strictly_chordal(params: GenParams) -> Graph:

@@ -9,7 +9,7 @@ mutable labels the scattering-set search needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class CliqueBipartite:
     remaining nodes are the separators ordered by smallest contained vertex.
     Adjacency is CSR with neighbour lists ascending.  ``card``, ``mu`` and
     ``status`` are mutated in place by the scattering-set search; ``entry``
-    and ``parent`` record the traversal.
+    and ``parent`` record the traversal and ``picked`` the separator nodes it
+    chose.
     """
 
     n_cliques: int
@@ -59,6 +60,7 @@ class CliqueBipartite:
     status: list[int]
     entry: list[int]
     parent: list[int]
+    picked: list[int] = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
