@@ -4,6 +4,14 @@ Maximum-cardinality search yields a candidate perfect elimination ordering;
 the follower test certifies it; the maximal cliques, the clique tree and the
 minimal-vertex-separator multiset all fall out of one pass over the ordering.
 The edge-heavy steps run on numpy arrays so large instances stay cheap.
+
+The search and the clique tree may run on the true-twin quotient of a graph
+(``true_twin_quotient``: one vertex per class of equal closed
+neighbourhoods) and be expanded back with ``CliqueTree.expand``.  Every
+maximal clique and minimal separator of a graph is a union of such classes,
+and adding a true twin creates no chordless cycle, so the quotient has the
+same cliques, separators, connectivity and chordality, on far fewer edges
+when the classes are large (as in block graphs with true twins added).
 """
 
 from __future__ import annotations
@@ -194,6 +202,90 @@ def find_chordless_cycle(g: Graph, u: int, a: int, b: int):
     return path
 
 
+_GOLDEN, _MUL1, _MUL2 = (np.uint64(c) for c in
+                         (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix_keys(ids):
+    """Fixed pseudo-random 64-bit keys of the vertex ids ``ids`` (the
+    splitmix64 finaliser), so fingerprints need no random state."""
+    x = ids.astype(np.uint64)
+    x += _GOLDEN
+    x ^= x >> _SHIFT1
+    x *= _MUL1
+    x ^= x >> _SHIFT2
+    x *= _MUL2
+    x ^= x >> _SHIFT3
+    return x
+
+
+def true_twin_quotient(g: Graph):
+    """Classes of mutual true twins of g and the graph on one vertex of each.
+
+    Returns ``(h, reps, class_ptr, members)``.  ``reps`` holds the least
+    vertex of each class, ascending; class x is
+    ``members[class_ptr[x]:class_ptr[x + 1]]``, ``reps[x]`` first and the
+    rest ascending.  ``h`` is g induced on ``reps``, with ``reps[x]``
+    renumbered x; it is g itself when no vertex has a twin.
+
+    Vertices are grouped by a 64-bit fingerprint of the closed neighbourhood
+    (the sum of its members' keys), and each grouping is then checked
+    exactly: v joins the least vertex r of its group only if their sorted
+    closed neighbourhoods agree entry by entry, which holds iff r is a
+    neighbour of v, deg v = deg r and every other neighbour of v is one of
+    r.  A vertex that fails is a class of its own, so a fingerprint
+    collision costs compression, never correctness.  Reads only the CSR
+    arrays.
+    """
+    n = g.n
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    ids = np.arange(n, dtype=np.int64)
+    # closed rows: row v of the CSR with v itself inserted in order.  Every
+    # slot of row v starts as v; its neighbours then fill all but v's own.
+    tails = np.repeat(ids, deg)
+    closed = np.repeat(ids, deg + 1)
+    slots = np.arange(len(closed))
+    dest = tails + (indices > tails)
+    dest += slots[:len(indices)]
+    closed[dest] = indices
+    closed_ptr = indptr + np.arange(n + 1)
+    # fingerprint of N[v]: the sum of its vertices' keys, mod 2**64
+    fp = np.add.reduceat(_mix_keys(ids)[closed], closed_ptr[:-1])
+    by_fp = np.argsort(fp, kind="stable")
+    first = np.ones(n, dtype=bool)
+    first[1:] = fp[by_fp[1:]] != fp[by_fp[:-1]]
+    # the least vertex of each group: its first in by_fp, ties being by id
+    least = np.empty(n, dtype=np.int64)
+    least[by_fp] = by_fp[np.maximum.accumulate(np.where(first, ids, 0))]
+    cand = np.flatnonzero((least != ids) & (deg == deg[least]))
+    # compare each candidate's closed row with its group's least vertex's,
+    # slot by slot; every other row is compared with itself
+    shift = np.zeros(n, dtype=np.int64)
+    shift[cand] = closed_ptr[least[cand]] - closed_ptr[cand]
+    partner = closed[slots + np.repeat(shift, deg + 1)]
+    differs = np.logical_or.reduceat(closed != partner, closed_ptr[:-1])
+    joins = cand[~differs[cand]]
+    rep = ids.copy()
+    rep[joins] = least[joins]
+    is_rep = rep == ids
+    reps = np.flatnonzero(is_rep)
+    k = len(reps)
+    if k == n:
+        return g, ids, np.arange(n + 1, dtype=np.int64), ids
+    qid = np.cumsum(is_rep) - 1  # the quotient id, read at representatives
+    class_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(qid[rep], minlength=k), out=class_ptr[1:])
+    # rows of the representatives, kept where the head is one too; the
+    # renumbering keeps order, so each row stays ascending
+    keep = np.flatnonzero(is_rep[tails] & is_rep[indices])
+    h_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(qid[tails[keep]], minlength=k), out=h_indptr[1:])
+    h = Graph._from_csr(h_indptr, qid[indices[keep]], g.id_base)
+    return h, reps, class_ptr, np.argsort(rep, kind="stable")
+
+
 @dataclass
 class CliqueTree:
     """Maximal cliques of a connected chordal graph and a clique tree.
@@ -244,6 +336,40 @@ class CliqueTree:
              frozenset(self.separator_slice(e).tolist()))
             for e in range(len(self.edge_child))
         ]
+
+    def expand(self, class_ptr, members) -> CliqueTree:
+        """This tree with each vertex x replaced by its class
+        ``members[class_ptr[x]:class_ptr[x + 1]]``.
+
+        Applied to the tree of a true-twin quotient with the classes of
+        ``true_twin_quotient``, it gives a clique tree of the original graph:
+        the same tree edges, each clique the union of its vertices' classes
+        in the same layout, ``sep_len`` the sum of the separator's class
+        sizes, and the perfect elimination ordering with each class listed
+        consecutively.
+        """
+        indices, ends = _spread(self.clique_indices, class_ptr, members)
+        clique_indptr = ends[self.clique_indptr]
+        peo, _ = _spread(np.asarray(self.peo, dtype=np.int64), class_ptr, members)
+        return CliqueTree(
+            n_vertices=len(members),
+            peo=peo.tolist(),
+            clique_indptr=clique_indptr,
+            clique_indices=indices,
+            sep_len=clique_indptr[1:] - ends[self.clique_indptr[1:] - self.sep_len],
+            edge_child=self.edge_child,
+            edge_parent=self.edge_parent,
+        )
+
+
+def _spread(xs, class_ptr, members):
+    """The classes of the vertices ``xs``, concatenated, and the prefix sums
+    of their sizes (``ends[i]`` entries come before the class of xs[i])."""
+    sizes = class_ptr[xs + 1] - class_ptr[xs]
+    ends = np.zeros(len(xs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ends[1:])
+    at = np.arange(ends[-1]) + np.repeat(class_ptr[xs] - ends[:-1], sizes)
+    return members[at], ends
 
 
 def build_clique_tree(g: Graph, order=None) -> CliqueTree:
@@ -332,7 +458,9 @@ class SeparatorInfo:
 
     ``multiplicity`` counts the clique-tree edges labelled with it,
     ``adjacent_cliques`` the cliques incident to those edges (for strictly
-    chordal graphs: all cliques containing it), and ``boundary_count`` how
+    chordal graphs: all cliques containing it), numbered as in the clique
+    tree the separators were read from (for ``analyze``, the expanded tree
+    of the true-twin quotient), and ``boundary_count`` how
     many adjacent cliques are boundary cliques, detected as cliques incident
     to exactly one distinct separator.
     """
@@ -347,8 +475,9 @@ def minimal_vertex_separators(ct: CliqueTree) -> list[SeparatorInfo]:
     """Distinct minimal vertex separators with multiplicities.
 
     Separators are grouped by content (rows padded to the largest separator
-    size and deduplicated); the multiplicities sum to the number of tree
-    edges.  The result is sorted by smallest contained vertex.
+    size, sorted and deduplicated); the multiplicities sum to the number of
+    tree edges.  The result is sorted by smallest contained vertex, and
+    separators sharing it by their sorted contents.
     """
     n_edges = len(ct.edge_child)
     if n_edges == 0:
@@ -368,15 +497,24 @@ def minimal_vertex_separators(ct: CliqueTree) -> list[SeparatorInfo]:
     width = int(lens.max())
     mat = np.full((n_edges, width), -1, dtype=np.int64)
     mat[grp, within] = vals
-    rows, inverse = np.unique(mat, axis=0, return_inverse=True)
-    sid = inverse.reshape(-1)
+    # distinct rows in lexicographic order (np.lexsort's last key is the
+    # primary one), numbered by a cumulative sum over row changes
+    by_row = np.lexsort(mat.T[::-1])
+    mat = mat[by_row]
+    fresh = np.ones(n_edges, dtype=bool)
+    fresh[1:] = (mat[1:] != mat[:-1]).any(axis=1)
+    rows = mat[fresh]
+    sid = np.empty(n_edges, dtype=np.int64)
+    sid[by_row] = np.cumsum(fresh) - 1
     n_seps = len(rows)
     mult = np.bincount(sid, minlength=n_seps)
-    # unique (clique, separator) incidences from both edge endpoints
-    pair_keys = np.unique(
-        np.concatenate((ct.edge_child, ct.edge_parent)) * n_seps
-        + np.concatenate((sid, sid))
-    )
+    # distinct (clique, separator) incidences from both edge endpoints
+    pair_keys = (np.concatenate((ct.edge_child, ct.edge_parent)) * n_seps
+                 + np.concatenate((sid, sid)))
+    pair_keys.sort()
+    fresh = np.ones(len(pair_keys), dtype=bool)
+    fresh[1:] = pair_keys[1:] != pair_keys[:-1]
+    pair_keys = pair_keys[fresh]
     pair_clique = pair_keys // n_seps
     pair_sid = pair_keys % n_seps
     # boundary cliques contain exactly one distinct separator

@@ -39,7 +39,7 @@ EXIT_NOT_IN_CLASS = 3
 EXIT_MISMATCH = 4
 
 # analyze() stages whose best-run seconds `bench` prints after its totals
-BENCH_STAGES = ("mcs", "clique_tree", "separators", "vulnerability")
+BENCH_STAGES = ("twins", "mcs", "clique_tree", "separators", "vulnerability")
 
 
 def _load_graph(path: str) -> Graph:

@@ -68,13 +68,24 @@ class Graph:
         fresh = np.ones(len(keys), dtype=bool)
         fresh[1:] = keys[1:] != keys[:-1]
         keys = keys[fresh]
-        self.m = len(keys) // 2
         indices = keys % n
         keys //= n  # the tail of each entry
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-        self.n = n
-        self.duplicate_edge_count = half - self.m
+        self._store(indptr, indices, half - len(keys) // 2, id_base)
+
+    @classmethod
+    def _from_csr(cls, indptr, indices, id_base: int) -> Graph:
+        """Graph of int64 CSR arrays that are already symmetric, ascending
+        within each row, and free of repeats and self-loops."""
+        g = cls.__new__(cls)
+        g._store(indptr, indices, 0, id_base)
+        return g
+
+    def _store(self, indptr, indices, duplicates, id_base):
+        self.n = len(indptr) - 1
+        self.m = len(indices) // 2
+        self.duplicate_edge_count = duplicates
         self.id_base = id_base
         self._csr = (indptr, indices)
         self._adj = None

@@ -312,6 +312,26 @@ def test_separators_sorted_by_smallest_vertex_and_multiplicity_sum():
         assert sum(s.multiplicity for s in seps) == len(ct.edge_child)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.integers(2, 12))
+def test_separators_match_tree_edge_labels_in_lexicographic_order(seed, n):
+    # distinct tree-edge labels, counted, ordered as their sorted contents
+    g = random_graph(random.Random(seed), n, 0.6)
+    order = mcs_order(g)
+    if not verify_peo(g, order):
+        return
+    try:
+        ct = build_clique_tree(g, order)
+    except NotConnectedError:
+        return
+    labels = {}
+    for _, _, sep in ct.tree_edges:
+        labels[sep] = labels.get(sep, 0) + 1
+    expected = sorted((sorted(sep), mult) for sep, mult in labels.items())
+    seps = minimal_vertex_separators(ct)
+    assert [(sorted(s.vertices), s.multiplicity) for s in seps] == expected
+
+
 def test_separators_adjacent_cliques_contain_separator():
     g = load_fixture("fig2_g1.gr")
     ct = build_clique_tree(g)
