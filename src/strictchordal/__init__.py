@@ -34,7 +34,7 @@ from .oracle import (
     restricted_scattering,
     restricted_toughness,
 )
-from .recognition import CliqueBipartite, border_mvs_exists, build_cb, is_strictly_chordal
+from .recognition import CliqueBipartite, border_mvs_exists, build_cb
 from .vulnerability import (
     CASE_COMPLETE,
     CASE_SINGLE_MVS,
@@ -45,7 +45,6 @@ from .vulnerability import (
     analyze,
     classify,
     scattering_set_type_b,
-    scattering_single_mvs,
     scattering_tough_ge_1,
     scattering_type_a,
     toughness,
@@ -84,7 +83,6 @@ __all__ = [
     "classify",
     "connected_components",
     "is_mcs_order",
-    "is_strictly_chordal",
     "mcs_order",
     "minimal_vertex_separators",
     "parse_graph",
@@ -93,7 +91,6 @@ __all__ = [
     "restricted_scattering",
     "restricted_toughness",
     "scattering_set_type_b",
-    "scattering_single_mvs",
     "scattering_tough_ge_1",
     "scattering_type_a",
     "serialize_graph",

@@ -116,13 +116,6 @@ def _orient(g: Graph, order):
     return pos, tails, heads, sizes, follower, (u, fu, w)
 
 
-def _check_permutation(g: Graph, order) -> np.ndarray:
-    arr = np.asarray(order, dtype=np.int64)
-    if len(arr) != g.n or not np.array_equal(np.sort(arr), np.arange(g.n)):
-        raise ValueError("order is not a permutation of the vertices")
-    return arr
-
-
 def is_mcs_order(g: Graph, order) -> bool:
     """True iff some maximum-cardinality-search run visits reversed(order).
 
@@ -161,8 +154,10 @@ def is_mcs_order(g: Graph, order) -> bool:
 
 
 def verify_peo(g: Graph, order) -> bool:
-    """True iff ``order`` is a perfect elimination ordering of g."""
-    _check_permutation(g, order)
+    """True iff ``order`` is a perfect elimination ordering of g; raises
+    ValueError if it is not a permutation of the vertices."""
+    if not np.array_equal(np.sort(np.asarray(order, dtype=np.int64)), np.arange(g.n)):
+        raise ValueError("order is not a permutation of the vertices")
     return len(_orient(g, order)[-1][0]) == 0
 
 
@@ -372,25 +367,19 @@ def _spread(xs, class_ptr, members):
     return members[at], ends
 
 
-def build_clique_tree(g: Graph, order=None) -> CliqueTree:
-    """Maximal cliques and a clique tree of a connected chordal graph.
+def build_clique_tree(g: Graph) -> CliqueTree:
+    """Maximal cliques and a clique tree of a connected chordal graph, built
+    from ``mcs_order(g)``.
 
-    ``order`` defaults to ``mcs_order(g)`` and must otherwise be a
-    maximum-cardinality-search ordering (any tie-breaking); orderings that no
-    MCS run produces are rejected with ValueError, since the greedy clique
-    grouping is only correct for them.  Chordality is always re-verified and
-    NotChordalError (carrying a chordless-cycle witness when one could be
-    recovered) raised on failure.  Cliques appear in the order their
+    Raises NotConnectedError, or NotChordalError carrying a chordless-cycle
+    witness when one could be recovered.  Cliques appear in the order their
     representatives are visited; each non-root clique is attached to the
-    clique its representative's follower was numbered into.
+    clique its representative's follower was numbered into.  ``analyze``
+    builds its tree the same way on the true-twin quotient and expands it,
+    so its clique numbering (``VulnerabilityReport.clique_tree``) may differ
+    from this one.
     """
-    if order is None:
-        order = mcs_order(g)
-    else:
-        _check_permutation(g, order)
-        if not is_mcs_order(g, order):
-            raise ValueError("order is not a maximum-cardinality-search ordering")
-    return _clique_tree_from_mcs(g, order)
+    return _clique_tree_from_mcs(g, mcs_order(g))
 
 
 def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
@@ -456,13 +445,14 @@ def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
 class SeparatorInfo:
     """One distinct minimal vertex separator of a chordal graph.
 
-    ``multiplicity`` counts the clique-tree edges labelled with it,
-    ``adjacent_cliques`` the cliques incident to those edges (for strictly
-    chordal graphs: all cliques containing it), numbered as in the clique
-    tree the separators were read from (for ``analyze``, the expanded tree
-    of the true-twin quotient), and ``boundary_count`` how
-    many adjacent cliques are boundary cliques, detected as cliques incident
-    to exactly one distinct separator.
+    ``multiplicity`` counts the clique-tree edges labelled with it, and
+    ``adjacent_cliques`` lists, ascending, the cliques incident to those
+    edges (for strictly chordal graphs: all cliques containing it).  They
+    are ids of the clique tree the separators were read from: for
+    ``analyze``, ``VulnerabilityReport.clique_tree``, the tree
+    ``--dump-cliquetree`` prints.  ``boundary_count`` is how many adjacent
+    cliques are boundary cliques, detected as cliques incident to exactly
+    one distinct separator.
     """
 
     vertices: frozenset

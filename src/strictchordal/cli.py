@@ -1,7 +1,7 @@
 """Command-line interface: analyze, oracle, check, gen, bench.
 
 Exit codes: 0 success (complete graphs included), 2 unreadable or malformed
-input (and oversized oracle instances), 3 input outside the class (not
+input, bad option values and oversized oracle instances, 3 input outside the class (not
 connected / not chordal / not strictly chordal, witness on stderr),
 4 oracle disagreement found by ``check``.  stdout carries only the report;
 diagnostics and debug dumps go to stderr.
@@ -117,8 +117,9 @@ def _print_human(doc: dict) -> None:
     print(f"timings_ms: {stages}")
 
 
-def _dump_structures(g: Graph, dump_ct: bool, dump_cb: bool) -> None:
-    ct = build_clique_tree(g)
+def _dump_structures(g: Graph, report, dump_ct: bool, dump_cb: bool) -> None:
+    """Print the report's own clique tree and incidence tree to stderr."""
+    ct = report.clique_tree
     base = g.id_base
     if dump_ct:
         for q in range(ct.n_cliques):
@@ -128,8 +129,7 @@ def _dump_structures(g: Graph, dump_ct: bool, dump_cb: bool) -> None:
             members = " ".join(str(v + base) for v in sorted(sep))
             print(f"edge {c} - {p} separator: {members}", file=sys.stderr)
     if dump_cb:
-        seps = minimal_vertex_separators(ct)
-        print(build_cb(ct, seps).dot(), file=sys.stderr)
+        print(build_cb(ct, report.separators).dot(), file=sys.stderr)
 
 
 def _print_class_error(exc, g: Graph) -> int:
@@ -161,7 +161,7 @@ def cmd_analyze(args) -> int:
     except (NotConnectedError, NotChordalError, NotStrictlyChordalError) as exc:
         return _print_class_error(exc, g)
     if args.dump_cliquetree or args.dump_cb:
-        _dump_structures(g, args.dump_cliquetree, args.dump_cb)
+        _dump_structures(g, report, args.dump_cliquetree, args.dump_cb)
     doc = report_document(g, report)
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -171,13 +171,8 @@ def cmd_analyze(args) -> int:
 
 
 def _oracle_result_doc(result, g, kind):
-    if kind == "toughness":
-        value = {"num": result.value.numerator, "den": result.value.denominator,
-                 "decimal": f"{float(result.value):g}"}
-    else:
-        value = result.value
     return {
-        "value": value,
+        "value": _toughness_doc(result.value) if kind == "toughness" else result.value,
         "witness": _ids(result.witness, g),
         "subsets_examined": result.subsets_examined,
     }
@@ -249,6 +244,10 @@ def _check_one(g: Graph, max_n: int):
 
 
 def cmd_check(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
+    if args.max_n < 2:  # no generated graph is smaller
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     cap = oracle.oracle_cap(None)
     if args.max_n > cap:
         raise TooLargeError(f"--max-n {args.max_n} exceeds the oracle cap {cap}")
@@ -311,9 +310,11 @@ def cmd_bench(args) -> int:
                 tick = time.perf_counter()
                 report = analyze(g)
                 elapsed = time.perf_counter() - tick
+                case = report.case
                 if elapsed < best:
                     best = elapsed
                     stages = report.timings
+                del report  # keep what the row prints, not the clique tree
                 tick = time.perf_counter()
                 parse_graph(text)
                 best_parse = min(best_parse, time.perf_counter() - tick)
@@ -322,7 +323,7 @@ def cmd_bench(args) -> int:
                     gc.enable()
         ratio = "" if prev is None else f"{best / prev:.2f}"
         prev = best
-        print(f"{size:>9} {g.n:>9} {g.m:>10} {report.case:>11} {best:>9.3f} "
+        print(f"{size:>9} {g.n:>9} {g.m:>10} {case:>11} {best:>9.3f} "
               f"{best / (g.n + g.m) * 1e6:>10.3f} {best_parse:>9.3f} {ratio:>6} "
               + " ".join(f"{stages[stage]:>13.3f}" for stage in BENCH_STAGES))
     return EXIT_OK
@@ -384,10 +385,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphError as exc:
+    except (GraphError, ValueError) as exc:  # ValueError: bad option values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

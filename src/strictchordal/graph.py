@@ -18,17 +18,17 @@ _INT = re.compile(r"-?[0-9]+")
 class Graph:
     """Immutable simple undirected graph with dense 0-based vertex ids.
 
-    The stored form is CSR: ``csr()`` returns int64 arrays ``(indptr,
-    indices)``, and the neighbours of ``v`` are
-    ``indices[indptr[v]:indptr[v + 1]]`` in increasing order.  ``adj[v]`` is
-    the same sorted neighbour list as a Python list; the lists are built from
-    the arrays on first use.  ``id_base`` records the numbering used by the
+    The CSR arrays are the only representation: ``csr()`` returns int64
+    arrays ``(indptr, indices)``, and the neighbours of ``v`` are
+    ``indices[indptr[v]:indptr[v + 1]]`` in increasing order.  Code that walks
+    neighbours in Python reads those slices of ``indices.tolist()``, bounded
+    by ``indptr.tolist()``.  ``id_base`` records the numbering used by the
     source file (1 for DIMACS-like files, 0 for plain edge lists) so that
     reports can echo the ids the user wrote.  Duplicate edges passed to the
     constructor are collapsed and counted.
     """
 
-    __slots__ = ("n", "m", "duplicate_edge_count", "id_base", "_csr", "_adj")
+    __slots__ = ("n", "m", "duplicate_edge_count", "id_base", "_csr")
 
     def __init__(self, n: int, edges=(), id_base: int = 1):
         if n < 0:
@@ -88,17 +88,6 @@ class Graph:
         self.duplicate_edge_count = duplicates
         self.id_base = id_base
         self._csr = (indptr, indices)
-        self._adj = None
-
-    @property
-    def adj(self) -> list[list[int]]:
-        """Sorted neighbour lists, built from the CSR arrays on first use."""
-        if self._adj is None:
-            indptr, indices = self._csr
-            flat = indices.tolist()
-            bounds = indptr.tolist()
-            self._adj = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        return self._adj
 
     def edges(self):
         """Iterate over each edge once as (u, v) with u < v, in sorted order."""
@@ -106,10 +95,6 @@ class Graph:
         tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
         upper = indices > tails
         return zip(tails[upper].tolist(), indices[upper].tolist())
-
-    def degree(self, v: int) -> int:
-        indptr = self._csr[0]
-        return int(indptr[v + 1] - indptr[v])
 
     def csr(self):
         """Adjacency as numpy CSR arrays (indptr, indices), the stored form."""
@@ -126,9 +111,10 @@ def parse_graph(text: str) -> Graph:
        1-based ids; ``c`` comment lines are ignored.
     2. Plain edge list: first line ``<n> <m>``, then ``<u> <v>`` 0-based.
 
-    Numbers are ASCII decimal integers (``-?[0-9]+``) and ``n`` is at most
-    ``MAX_VERTICES``.  Duplicate edges are collapsed (the count is kept on the
-    graph); self-loops and out-of-range ids raise ParseError.
+    Numbers are ASCII decimal integers (``-?[0-9]+``), ``n`` is at most
+    ``MAX_VERTICES``, and ``m`` is not compared with the edge lines.
+    Duplicate edges are collapsed (the count is kept on the graph);
+    self-loops and out-of-range ids raise ParseError.
 
     ASCII text is read by one numpy scan of its bytes.  Text the scan finds
     any fault in, and non-ASCII text, goes through the line-by-line parser,
@@ -359,43 +345,34 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(out)
 
 
-def connected_components(g: Graph, removed=frozenset()):
+def connected_components(g: Graph, removed=()):
     """Components of g after deleting the vertices in ``removed``.
 
     Returns ``(count, labels)`` where ``labels[v]`` is the component id of
     each surviving vertex and -1 for removed ones.  Component ids are
     assigned in increasing order of the smallest vertex they contain; the
-    labelling itself is breadth-first.  ``count`` is 0 iff every vertex was
-    removed.
+    labelling itself is breadth-first over slices of the CSR arrays, as
+    ``mcs_order`` reads them.  ``count`` is 0 iff every vertex was removed.
     """
-    n = g.n
-    if not isinstance(removed, (set, frozenset)):
-        removed = set(removed)
-    labels = [-1] * n
-    adj = g.adj
+    indptr, indices = g.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    done = [False] * g.n  # labelled or removed
+    for v in removed:
+        done[v] = True
+    labels = [-1] * g.n
     count = 0
-    for start in range(n):
-        if labels[start] != -1 or start in removed:
+    for start in range(g.n):
+        if done[start]:
             continue
+        done[start] = True
         labels[start] = count
         queue = [start]
-        head = 0
-        if removed:
-            while head < len(queue):
-                v = queue[head]
-                head += 1
-                for w in adj[v]:
-                    if labels[w] == -1 and w not in removed:
-                        labels[w] = count
-                        queue.append(w)
-        else:
-            while head < len(queue):
-                v = queue[head]
-                head += 1
-                for w in adj[v]:
-                    if labels[w] == -1:
-                        labels[w] = count
-                        queue.append(w)
+        for v in queue:  # the loop reaches what it appends
+            for w in flat[bounds[v]:bounds[v + 1]]:
+                if not done[w]:
+                    done[w] = True
+                    labels[w] = count
+                    queue.append(w)
         count += 1
     return count, labels
-

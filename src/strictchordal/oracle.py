@@ -46,15 +46,22 @@ class OracleResult:
     subsets_examined: int
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """Neighbourhoods as bitmasks."""
+def _union_masks(vertex_sets) -> list[int]:
     masks = []
-    for v in range(g.n):
+    for vs in vertex_sets:
         m = 0
-        for w in g.adj[v]:
-            m |= 1 << w
+        for v in vs:
+            m |= 1 << v
         masks.append(m)
     return masks
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """Neighbourhoods as bitmasks, one per CSR row."""
+    indptr, indices = g.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    return _union_masks(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _bits(mask: int):
@@ -166,16 +173,6 @@ def brute_force_toughness(g: Graph, cap=None) -> OracleResult:
     if not found:
         raise CompleteGraphError("no subset disconnects the graph")
     return OracleResult(Fraction(best_num, best_den), frozenset(_bits(best_mask)), 1 << n)
-
-
-def _union_masks(vertex_sets) -> list[int]:
-    masks = []
-    for vs in vertex_sets:
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        masks.append(m)
-    return masks
 
 
 def restricted_scattering(g: Graph, separator_sets, max_sets=20) -> OracleResult:

@@ -34,11 +34,6 @@ def separator_overlap(seps):
     return None
 
 
-def is_strictly_chordal(seps) -> bool:
-    """True iff the distinct minimal vertex separators are pairwise disjoint."""
-    return separator_overlap(seps) is None
-
-
 @dataclass
 class CliqueBipartite:
     """Tree over clique nodes and separator nodes, with search labels.
@@ -62,16 +57,6 @@ class CliqueBipartite:
     parent: list[int]
     picked: list[int] = field(default_factory=list)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_cliques + len(self.separators)
-
-    def degree(self, v: int) -> int:
-        return self.indptr[v + 1] - self.indptr[v]
-
-    def separator_node(self, i: int) -> int:
-        return self.n_cliques + i
-
     def dot(self) -> str:
         """Graphviz-style dump for debugging."""
         lines = ["graph cb {"]
@@ -81,7 +66,7 @@ class CliqueBipartite:
             label = ",".join(str(v) for v in sorted(info.vertices))
             lines.append(f'  s{i} [label="S{{{label}}} mu={info.multiplicity}"];')
         for i in range(len(self.separators)):
-            node = self.separator_node(i)
+            node = self.n_cliques + i
             for w in self.neighbors[self.indptr[node]:self.indptr[node + 1]]:
                 lines.append(f"  q{w} -- s{i};")
         lines.append("}")
@@ -157,7 +142,7 @@ def border_mvs_exists(cb: CliqueBipartite) -> bool:
     """
     indptr = cb.indptr
     for i in range(len(cb.separators)):
-        node = cb.separator_node(i)
+        node = cb.n_cliques + i
         leaves = sum(
             1
             for c in cb.neighbors[indptr[node]:indptr[node + 1]]

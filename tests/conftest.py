@@ -19,6 +19,12 @@ def load_fixture(name: str) -> Graph:
     return parse_graph((FIXTURE_DIR / name).read_text())
 
 
+def neighbours(g: Graph) -> list[list[int]]:
+    """Sorted neighbour list of each vertex, read off ``g.csr()``."""
+    indptr, indices = g.csr()
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -127,9 +133,9 @@ def uf_components(g: Graph, removed=frozenset()):
 def brute_is_peo(g: Graph, order) -> bool:
     """Direct definition: every vertex's later neighbours are pairwise adjacent."""
     position = {v: i for i, v in enumerate(order)}
-    adj = [set(nbrs) for nbrs in g.adj]
+    adj = [set(nbrs) for nbrs in neighbours(g)]
     for v in order:
-        later = [u for u in g.adj[v] if position[u] > position[v]]
+        later = [u for u in adj[v] if position[u] > position[v]]
         for a, b in combinations(later, 2):
             if b not in adj[a]:
                 return False

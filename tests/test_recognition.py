@@ -14,7 +14,6 @@ from strictchordal import (
     border_mvs_exists,
     build_cb,
     build_clique_tree,
-    is_strictly_chordal,
     minimal_vertex_separators,
 )
 from strictchordal.generator import random_strictly_chordal
@@ -24,6 +23,18 @@ from strictchordal.recognition import MVS, TRUE_CLIQUE, separator_overlap
 def pipeline(g):
     ct = build_clique_tree(g)
     return ct, minimal_vertex_separators(ct)
+
+
+def is_strictly_chordal(seps):
+    return separator_overlap(seps) is None
+
+
+def degree(cb, v):
+    return cb.indptr[v + 1] - cb.indptr[v]
+
+
+def node_count(cb):
+    return len(cb.indptr) - 1
 
 
 def test_single_separator_is_strictly_chordal():
@@ -59,21 +70,21 @@ def test_fig2_g1_separators_are_disjoint():
 
 def test_cb_path():
     cb = build_cb(*pipeline(path_graph(3)))
-    assert cb.n_nodes == 3
+    assert node_count(cb) == 3
     assert cb.n_cliques == 2
-    assert sum(cb.degree(v) for v in range(cb.n_nodes)) == 2 * 2
+    assert sum(degree(cb, v) for v in range(node_count(cb))) == 2 * 2
 
 
 def test_cb_star():
     cb = build_cb(*pipeline(star_graph(3)))
-    assert cb.n_nodes == 4  # 3 edge-cliques + 1 separator
-    assert cb.degree(cb.separator_node(0)) == 3
+    assert node_count(cb) == 4  # 3 edge-cliques + 1 separator
+    assert degree(cb, cb.n_cliques) == 3
 
 
 def test_cb_fig2_g2():
     cb = build_cb(*pipeline(load_fixture("fig2_g2.gr")))
-    assert cb.n_nodes == 17  # 12 cliques + 5 separators
-    assert sum(cb.degree(v) for v in range(cb.n_nodes)) == 2 * 16
+    assert node_count(cb) == 17  # 12 cliques + 5 separators
+    assert sum(degree(cb, v) for v in range(node_count(cb))) == 2 * 16
 
 
 def test_cb_labels_initialized():
@@ -84,7 +95,7 @@ def test_cb_labels_initialized():
     assert all(e == 0 for e in cb.entry)
     assert all(p == -1 for p in cb.parent)
     for i, info in enumerate(cb.separators):
-        node = cb.separator_node(i)
+        node = q + i
         assert cb.card[node] == len(info.vertices)
         assert cb.mu[node] == info.multiplicity
 
@@ -95,12 +106,12 @@ def _assert_cb_invariants(g):
         pytest.fail("corpus graph not strictly chordal")
     cb = build_cb(ct, seps)
     q = cb.n_cliques
-    n_edges = sum(cb.degree(v) for v in range(cb.n_nodes)) // 2
-    assert n_edges == cb.n_nodes - 1
+    n_edges = sum(degree(cb, v) for v in range(node_count(cb))) // 2
+    assert n_edges == node_count(cb) - 1
     for i, info in enumerate(cb.separators):
-        node = cb.separator_node(i)
+        node = q + i
         # degree of a separator node is its multiplicity + 1
-        assert cb.degree(node) == info.multiplicity + 1
+        assert degree(cb, node) == info.multiplicity + 1
         # every neighbour is a clique node containing the separator
         for c in cb.neighbors[cb.indptr[node]:cb.indptr[node + 1]]:
             assert c < q
@@ -119,7 +130,7 @@ def _assert_cb_invariants(g):
     # cliques counted during separator extraction
     leaf_counts = {i: 0 for i in range(len(seps))}
     for c in range(q):
-        if cb.degree(c) == 1:
+        if degree(cb, c) == 1:
             sep_node = cb.neighbors[cb.indptr[c]]
             leaf_counts[sep_node - q] += 1
             inside = [i for i in range(len(seps)) if seps[i].vertices <= ct.cliques[c]]

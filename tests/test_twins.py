@@ -13,6 +13,7 @@ from conftest import (
     corpus_params,
     cycle_graph,
     load_fixture,
+    neighbours,
     random_graph,
 )
 from test_chordal import _assert_chordless_cycle, _assert_clique_tree_invariants
@@ -44,7 +45,7 @@ def plant_twins(g: Graph, rng: random.Random, count: int, true: bool = True) -> 
     original has a neighbour, false) twin of a random earlier vertex, and
     all vertices then relabelled at random."""
     edges = list(g.edges())
-    adj = [set(nbrs) for nbrs in g.adj]
+    adj = [set(nbrs) for nbrs in neighbours(g)]
     n = g.n
     for _ in range(count):
         v = rng.randrange(n)
@@ -64,8 +65,8 @@ def plant_twins(g: Graph, rng: random.Random, count: int, true: bool = True) -> 
 def reference_classes(g: Graph) -> list[list[int]]:
     """Classes of equal closed neighbourhoods, each ascending, by least vertex."""
     groups = {}
-    for v in range(g.n):
-        groups.setdefault(frozenset(g.adj[v]) | {v}, []).append(v)
+    for v, nbrs in enumerate(neighbours(g)):
+        groups.setdefault(frozenset(nbrs) | {v}, []).append(v)
     return sorted(groups.values())
 
 
@@ -157,8 +158,9 @@ def test_fingerprint_collisions_cost_compression_not_answers(monkeypatch):
     assert [outcome(g) for g in graphs] == expected
     for g in graphs[:60]:
         _, _, class_ptr, members = true_twin_quotient(g)
+        nbrs = neighbours(g)
         for cls in classes_of(class_ptr, members):
-            closed = {frozenset(g.adj[v]) | {v} for v in cls}
+            closed = {frozenset(nbrs[v]) | {v} for v in cls}
             assert len(closed) == 1, cls
 
 
