@@ -9,6 +9,7 @@ reproducible random generator for validating the fast path.
 from .chordal import (
     CliqueTree,
     SeparatorInfo,
+    Separators,
     build_clique_tree,
     is_mcs_order,
     mcs_order,
@@ -34,7 +35,7 @@ from .oracle import (
     restricted_scattering,
     restricted_toughness,
 )
-from .recognition import CliqueBipartite, border_mvs_exists, build_cb
+from .recognition import border_mvs_exists
 from .vulnerability import (
     CASE_COMPLETE,
     CASE_SINGLE_MVS,
@@ -58,7 +59,6 @@ __all__ = [
     "CASE_TOUGH_GE_1",
     "CASE_TYPE_A",
     "CASE_TYPE_B",
-    "CliqueBipartite",
     "CliqueTree",
     "CompleteGraphError",
     "GenParams",
@@ -71,6 +71,7 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "SeparatorInfo",
+    "Separators",
     "TooLargeError",
     "VulnerabilityReport",
     "add_true_twins",
@@ -78,7 +79,6 @@ __all__ = [
     "border_mvs_exists",
     "brute_force_scattering",
     "brute_force_toughness",
-    "build_cb",
     "build_clique_tree",
     "classify",
     "connected_components",

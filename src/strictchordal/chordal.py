@@ -16,7 +16,9 @@ when the classes are large (as in block graphs with true twins added).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -301,7 +303,6 @@ class CliqueTree:
     sep_len: np.ndarray
     edge_child: np.ndarray
     edge_parent: np.ndarray
-    _cliques: list | None = field(default=None, repr=False)
 
     @property
     def n_cliques(self) -> int:
@@ -310,19 +311,14 @@ class CliqueTree:
     def clique(self, q: int) -> np.ndarray:
         return self.clique_indices[self.clique_indptr[q]:self.clique_indptr[q + 1]]
 
-    def clique_size(self, q: int) -> int:
-        return int(self.clique_indptr[q + 1] - self.clique_indptr[q])
-
     def separator_slice(self, e: int) -> np.ndarray:
         child = self.edge_child[e]
         end = self.clique_indptr[child + 1]
         return self.clique_indices[end - self.sep_len[child]:end]
 
-    @property
+    @cached_property
     def cliques(self) -> list[frozenset]:
-        if self._cliques is None:
-            self._cliques = [frozenset(self.clique(q).tolist()) for q in range(self.n_cliques)]
-        return self._cliques
+        return [frozenset(self.clique(q).tolist()) for q in range(self.n_cliques)]
 
     @property
     def tree_edges(self) -> list[tuple[int, int, frozenset]]:
@@ -443,7 +439,8 @@ def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
 
 @dataclass(frozen=True)
 class SeparatorInfo:
-    """One distinct minimal vertex separator of a chordal graph.
+    """One distinct minimal vertex separator of a chordal graph, as the
+    entry ``seps[i]`` of a ``Separators`` table builds it.
 
     ``multiplicity`` counts the clique-tree edges labelled with it, and
     ``adjacent_cliques`` lists, ascending, the cliques incident to those
@@ -461,17 +458,59 @@ class SeparatorInfo:
     boundary_count: int
 
 
-def minimal_vertex_separators(ct: CliqueTree) -> list[SeparatorInfo]:
-    """Distinct minimal vertex separators with multiplicities.
+@dataclass(frozen=True, eq=False)
+class Separators:
+    """The distinct minimal vertex separators of a clique tree, as arrays.
+
+    Separator s is ``indices[indptr[s]:indptr[s + 1]]``, ascending, and has
+    ``sizes[s]`` vertices; the separators are sorted by smallest vertex, and
+    those sharing it by their contents.  ``mult[s]`` counts the tree edges
+    labelled with s and ``boundary[s]`` its boundary cliques, those incident
+    to no other separator.  The clique/separator incidences are the pairs
+    ``(pair_sep[j], pair_clique[j])``, sorted by separator and then clique;
+    ``clique_sizes`` holds the sizes of the tree's ``n_cliques`` cliques.
+
+    It is also a read-only sequence: ``len(seps)``, ``seps[s]`` and
+    iteration give ``SeparatorInfo`` entries, built on each access.
+    """
+
+    n_cliques: int
+    clique_sizes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    sizes: np.ndarray
+    mult: np.ndarray
+    boundary: np.ndarray
+    pair_sep: np.ndarray
+    pair_clique: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mult)
+
+    def __getitem__(self, s) -> SeparatorInfo:
+        s = range(len(self))[operator.index(s)]
+        lo, hi = np.searchsorted(self.pair_sep, (s, s + 1)).tolist()
+        return SeparatorInfo(
+            vertices=self.row(s),
+            multiplicity=int(self.mult[s]),
+            adjacent_cliques=tuple(self.pair_clique[lo:hi].tolist()),
+            boundary_count=int(self.boundary[s]),
+        )
+
+    def row(self, s: int) -> frozenset:
+        """Separator s as a frozenset of Python ints."""
+        return frozenset(self.indices[self.indptr[s]:self.indptr[s + 1]].tolist())
+
+
+def minimal_vertex_separators(ct: CliqueTree) -> Separators:
+    """Distinct minimal vertex separators with multiplicities, as a
+    ``Separators`` table.
 
     Separators are grouped by content (rows padded to the largest separator
     size, sorted and deduplicated); the multiplicities sum to the number of
-    tree edges.  The result is sorted by smallest contained vertex, and
-    separators sharing it by their sorted contents.
+    tree edges.
     """
     n_edges = len(ct.edge_child)
-    if n_edges == 0:
-        return []
     n_cliques = ct.n_cliques
     indptr = ct.clique_indptr
     indices = ct.clique_indices
@@ -484,7 +523,8 @@ def minimal_vertex_separators(ct: CliqueTree) -> list[SeparatorInfo]:
     # sort each edge's separator content; blocks stay contiguous, so the
     # within-block slot indices are unchanged
     vals = vals[np.lexsort((vals, grp))]
-    width = int(lens.max())
+    # one column at least: lexsort needs a key even when there are no edges
+    width = max(int(lens.max(initial=0)), 1)
     mat = np.full((n_edges, width), -1, dtype=np.int64)
     mat[grp, within] = vals
     # distinct rows in lexicographic order (np.lexsort's last key is the
@@ -497,35 +537,26 @@ def minimal_vertex_separators(ct: CliqueTree) -> list[SeparatorInfo]:
     sid = np.empty(n_edges, dtype=np.int64)
     sid[by_row] = np.cumsum(fresh) - 1
     n_seps = len(rows)
-    mult = np.bincount(sid, minlength=n_seps)
-    # distinct (clique, separator) incidences from both edge endpoints
-    pair_keys = (np.concatenate((ct.edge_child, ct.edge_parent)) * n_seps
-                 + np.concatenate((sid, sid)))
+    # distinct (separator, clique) incidences from both edge endpoints
+    pair_keys = (np.concatenate((sid, sid)) * n_cliques
+                 + np.concatenate((ct.edge_child, ct.edge_parent)))
     pair_keys.sort()
     fresh = np.ones(len(pair_keys), dtype=bool)
     fresh[1:] = pair_keys[1:] != pair_keys[:-1]
-    pair_keys = pair_keys[fresh]
-    pair_clique = pair_keys // n_seps
-    pair_sid = pair_keys % n_seps
+    pair_sep, pair_clique = np.divmod(pair_keys[fresh], n_cliques)
     # boundary cliques contain exactly one distinct separator
     leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
-    boundary = np.bincount(pair_sid[leaf[pair_clique]], minlength=n_seps)
-    adj_order = np.argsort(pair_sid, kind="stable")
-    adj_cliques = pair_clique[adj_order].tolist()
-    adj_indptr = np.zeros(n_seps + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_sid, minlength=n_seps), out=adj_indptr[1:])
-    adj_indptr = adj_indptr.tolist()
-
-    rows_l = rows.tolist()
-    lens_l = (rows >= 0).sum(axis=1).tolist()
-    mult_l = mult.tolist()
-    boundary_l = boundary.tolist()
-    return [
-        SeparatorInfo(
-            vertices=frozenset(rows_l[s][:lens_l[s]]),
-            multiplicity=mult_l[s],
-            adjacent_cliques=tuple(adj_cliques[adj_indptr[s]:adj_indptr[s + 1]]),
-            boundary_count=boundary_l[s],
-        )
-        for s in range(n_seps)
-    ]
+    sizes = (rows >= 0).sum(axis=1)
+    row_ptr = np.zeros(n_seps + 1, dtype=np.int64)
+    np.cumsum(sizes, out=row_ptr[1:])
+    return Separators(
+        n_cliques=n_cliques,
+        clique_sizes=np.diff(indptr),
+        indptr=row_ptr,
+        indices=rows[rows >= 0],
+        sizes=sizes,
+        mult=np.bincount(sid, minlength=n_seps),
+        boundary=np.bincount(pair_sep[leaf[pair_clique]], minlength=n_seps),
+        pair_sep=pair_sep,
+        pair_clique=pair_clique,
+    )

@@ -30,7 +30,6 @@ from .errors import (
     TooLargeError,
 )
 from .graph import Graph, connected_components, parse_graph, serialize_graph
-from .recognition import build_cb
 from .vulnerability import CASE_COMPLETE, analyze
 
 EXIT_OK = 0
@@ -66,8 +65,12 @@ def _toughness_doc(tau: Fraction | None):
 
 
 def report_document(g: Graph, report) -> dict:
-    """JSON-ready mirror of a VulnerabilityReport, ids in file numbering."""
+    """JSON-ready mirror of a VulnerabilityReport, ids in file numbering.
+    The separator rows are read from the arrays of ``report.separators``."""
     sc = report.scattering_number
+    seps = report.separators
+    rows = (seps.indices + g.id_base).tolist()
+    bounds = seps.indptr.tolist()
     return {
         "n": g.n,
         "m": g.m,
@@ -77,12 +80,9 @@ def report_document(g: Graph, report) -> dict:
         "case": report.case,
         "clique_count": report.clique_count,
         "separators": [
-            {
-                "vertices": _ids(info.vertices, g),
-                "mu": info.multiplicity,
-                "boundary_cliques": info.boundary_count,
-            }
-            for info in report.separators
+            {"vertices": rows[a:b], "mu": mu, "boundary_cliques": boundary}
+            for a, b, mu, boundary in zip(bounds, bounds[1:], seps.mult.tolist(),
+                                          seps.boundary.tolist())
         ],
         "toughness": _toughness_doc(report.toughness),
         "tough_set": _ids(report.tough_set, g),
@@ -129,7 +129,19 @@ def _dump_structures(g: Graph, report, dump_ct: bool, dump_cb: bool) -> None:
             members = " ".join(str(v + base) for v in sorted(sep))
             print(f"edge {c} - {p} separator: {members}", file=sys.stderr)
     if dump_cb:
-        print(build_cb(ct, report.separators).dot(), file=sys.stderr)
+        # Graphviz-style: clique nodes q*, separator nodes s* (internal ids)
+        seps = report.separators
+        lines = ["graph cb {"]
+        lines += [f'  q{q} [shape=box, label="Q{q} card={card}"];'
+                  for q, card in enumerate(seps.clique_sizes.tolist())]
+        rows, bounds = seps.indices.tolist(), seps.indptr.tolist()
+        for i, mu in enumerate(seps.mult.tolist()):
+            label = ",".join(map(str, rows[bounds[i]:bounds[i + 1]]))
+            lines.append(f'  s{i} [label="S{{{label}}} mu={mu}"];')
+        lines += [f"  q{c} -- s{i};"
+                  for i, c in zip(seps.pair_sep.tolist(), seps.pair_clique.tolist())]
+        lines.append("}")
+        print("\n".join(lines), file=sys.stderr)
 
 
 def _print_class_error(exc, g: Graph) -> int:

@@ -39,8 +39,14 @@ class GenParams:
             raise ValueError("max_block_size must be >= 2")
         if self.max_twins < 0:
             raise ValueError("max_twins must be >= 0")
-        if self.target_n is not None and self.target_n < 2:
-            raise ValueError("target_n must be >= 2")
+        if self.target_n is not None and not 2 <= self.target_n <= MAX_VERTICES:
+            raise ValueError(f"target_n must be between 2 and {MAX_VERTICES}")
+        # checked before random_block_graph grows its edge list: the base
+        # graph has at most this many vertices without target_n, and
+        # about target_n + max_block_size with it
+        if 1 + self.block_count * (self.max_block_size - 1) > MAX_VERTICES:
+            raise ValueError(f"block_count blocks of up to max_block_size vertices "
+                             f"could exceed {MAX_VERTICES} vertices")
 
 
 def _twin_rng(params: GenParams) -> random.Random:
@@ -66,20 +72,16 @@ def random_block_graph(params: GenParams) -> Graph:
     add_block(list(range(size)))
     n = size
 
-    if params.target_n is not None:
-        base_target = max(2, round(params.target_n / (1 + params.max_twins / 2)))
-        more = None
-    else:
-        base_target = None
-        more = params.block_count - 1
-    while (more is not None and more > 0) or (base_target is not None and n < base_target):
+    target = params.target_n
+    base_target = None if target is None else max(2, round(target / (1 + params.max_twins / 2)))
+    blocks = 1
+    while n < base_target if target is not None else blocks < params.block_count:
         attach = rng.randrange(n)
         size = rng.randint(2, params.max_block_size)
         block = [attach] + list(range(n, n + size - 1))
         add_block(block)
         n += size - 1
-        if more is not None:
-            more -= 1
+        blocks += 1
     return Graph(n, edges, id_base=1)
 
 

@@ -71,24 +71,26 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _component_of_lowest(adjmask, survivors: int) -> int:
+    """Bitmask of the component of the lowest survivor (survivors nonzero)."""
+    comp = frontier = survivors & -survivors
+    while frontier:
+        reach = 0
+        f = frontier
+        while f:
+            low = f & -f
+            reach |= adjmask[low.bit_length() - 1]
+            f ^= low
+        frontier = reach & survivors & ~comp
+        comp |= frontier
+    return comp
+
+
 def count_components_mask(adjmask, survivors: int) -> int:
     """Number of connected components induced on the survivor bitmask."""
     count = 0
-    remaining = survivors
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                low = f & -f
-                reach |= adjmask[low.bit_length() - 1]
-                f ^= low
-            frontier = reach & survivors & ~comp
-            comp |= frontier
-        remaining &= ~comp
+    while survivors:
+        survivors &= ~_component_of_lowest(adjmask, survivors)
         count += 1
     return count
 
@@ -99,24 +101,49 @@ def component_count_table(g: Graph) -> list[int]:
     Built by peeling the component of the lowest surviving vertex and
     looking up the rest, so each entry costs one bitset reachability pass.
     """
-    n = g.n
     adjmask = adjacency_masks(g)
-    table = [0] * (1 << n)
-    for t in range(1, 1 << n):
-        seed = t & -t
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                low = f & -f
-                reach |= adjmask[low.bit_length() - 1]
-                f ^= low
-            frontier = reach & t & ~comp
-            comp |= frontier
-        table[t] = 1 + table[t & ~comp]
+    table = [0] * (1 << g.n)
+    for t in range(1, 1 << g.n):
+        table[t] = 1 + table[t & ~_component_of_lowest(adjmask, t)]
     return table
+
+
+def _best(candidates, what: str, better):
+    """The best of ``candidates``, pairs (S as a bitmask, omega(G-S)), among
+    those with at least two components, as (|S|, omega(G-S), S as a vertex
+    set).  ``better(a, b)`` says whether a beats b, each an
+    (|S|, omega(G-S), S) triple; ties fall to the smallest bitmask."""
+    best = None
+    for s_mask, comp in candidates:
+        if comp >= 2:
+            cur = (s_mask.bit_count(), comp, s_mask)
+            if best is None or better(cur, best) or (not better(best, cur) and s_mask < best[2]):
+                best = cur
+    if best is None:
+        raise CompleteGraphError(f"no {what} disconnects the graph")
+    return best[0], best[1], frozenset(_bits(best[2]))
+
+
+def _more_scattered(a, b) -> bool:
+    return a[1] - a[0] > b[1] - b[0]
+
+
+def _less_tough(a, b) -> bool:
+    # a[0]/a[1] < b[0]/b[1] by cross multiplication, exactly
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _all_subsets(g: Graph, cap):
+    """(S, omega(G-S)) for every vertex subset S, as bitmasks in ascending
+    order; raises TooLargeError beyond the cap."""
+    n = g.n
+    cap = oracle_cap(cap)
+    if n > cap:
+        raise TooLargeError(f"n={n} exceeds the oracle cap {cap}")
+    table = component_count_table(g)
+    full = (1 << n) - 1
+    for s_mask in range(1 << n):
+        yield s_mask, table[full ^ s_mask]
 
 
 def brute_force_scattering(g: Graph, cap=None) -> OracleResult:
@@ -125,24 +152,8 @@ def brute_force_scattering(g: Graph, cap=None) -> OracleResult:
     Raises TooLargeError beyond the cap and CompleteGraphError when no
     subset disconnects the graph.
     """
-    n = g.n
-    cap = oracle_cap(cap)
-    if n > cap:
-        raise TooLargeError(f"n={n} exceeds the oracle cap {cap}")
-    table = component_count_table(g)
-    full = (1 << n) - 1
-    best = None
-    best_mask = 0
-    for s_mask in range(1 << n):
-        comp = table[full ^ s_mask]
-        if comp >= 2:
-            value = comp - s_mask.bit_count()
-            if best is None or value > best:
-                best = value
-                best_mask = s_mask
-    if best is None:
-        raise CompleteGraphError("no subset disconnects the graph")
-    return OracleResult(best, frozenset(_bits(best_mask)), 1 << n)
+    size, comp, witness = _best(_all_subsets(g, cap), "subset", _more_scattered)
+    return OracleResult(comp - size, witness, 1 << g.n)
 
 
 def brute_force_toughness(g: Graph, cap=None) -> OracleResult:
@@ -151,28 +162,25 @@ def brute_force_toughness(g: Graph, cap=None) -> OracleResult:
     Raises TooLargeError beyond the cap and CompleteGraphError when no
     subset disconnects the graph (toughness is infinite).
     """
-    n = g.n
-    cap = oracle_cap(cap)
-    if n > cap:
-        raise TooLargeError(f"n={n} exceeds the oracle cap {cap}")
-    table = component_count_table(g)
-    full = (1 << n) - 1
-    best_num = best_den = 0
-    best_mask = 0
-    found = False
-    for s_mask in range(1 << n):
-        comp = table[full ^ s_mask]
-        if comp >= 2:
-            size = s_mask.bit_count()
-            # size/comp < best_num/best_den, exactly
-            if not found or size * best_den < best_num * comp:
-                found = True
-                best_num = size
-                best_den = comp
-                best_mask = s_mask
-    if not found:
-        raise CompleteGraphError("no subset disconnects the graph")
-    return OracleResult(Fraction(best_num, best_den), frozenset(_bits(best_mask)), 1 << n)
+    size, comp, witness = _best(_all_subsets(g, cap), "subset", _less_tough)
+    return OracleResult(Fraction(size, comp), witness, 1 << g.n)
+
+
+def _unions(g: Graph, separator_sets, max_sets):
+    """(S, omega(G-S)) for every nonempty union S of the given vertex sets,
+    one per family of sets; raises TooLargeError beyond ``max_sets`` sets."""
+    k = len(separator_sets)
+    if k > max_sets:
+        raise TooLargeError(f"{k} separator sets exceed the union cap {max_sets}")
+    adjmask = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    masks = _union_masks(separator_sets)
+    union = [0] * (1 << k)
+    for fam in range(1, 1 << k):
+        low = fam & -fam
+        s_mask = union[fam ^ low] | masks[low.bit_length() - 1]
+        union[fam] = s_mask
+        yield s_mask, count_components_mask(adjmask, full ^ s_mask)
 
 
 def restricted_scattering(g: Graph, separator_sets, max_sets=20) -> OracleResult:
@@ -182,56 +190,13 @@ def restricted_scattering(g: Graph, separator_sets, max_sets=20) -> OracleResult
     separator is a union of pairwise disjoint minimal vertex separators, so
     restricting candidates to such unions preserves the maximum.
     """
-    k = len(separator_sets)
-    if k > max_sets:
-        raise TooLargeError(f"{k} separator sets exceed the union cap {max_sets}")
-    adjmask = adjacency_masks(g)
-    full = (1 << g.n) - 1
-    masks = _union_masks(separator_sets)
-    union = [0] * (1 << k)
-    best = None
-    best_mask = 0
-    for fam in range(1, 1 << k):
-        low = fam & -fam
-        s_mask = union[fam ^ low] | masks[low.bit_length() - 1]
-        union[fam] = s_mask
-        comp = count_components_mask(adjmask, full ^ s_mask)
-        if comp >= 2:
-            value = comp - s_mask.bit_count()
-            if best is None or value > best or (value == best and s_mask < best_mask):
-                best = value
-                best_mask = s_mask
-    if best is None:
-        raise CompleteGraphError("no candidate union disconnects the graph")
-    return OracleResult(best, frozenset(_bits(best_mask)), (1 << k) - 1)
+    size, comp, witness = _best(_unions(g, separator_sets, max_sets), "candidate union",
+                                _more_scattered)
+    return OracleResult(comp - size, witness, (1 << len(separator_sets)) - 1)
 
 
 def restricted_toughness(g: Graph, separator_sets, max_sets=20) -> OracleResult:
     """Toughness minimum over nonempty unions of the given vertex sets."""
-    k = len(separator_sets)
-    if k > max_sets:
-        raise TooLargeError(f"{k} separator sets exceed the union cap {max_sets}")
-    adjmask = adjacency_masks(g)
-    full = (1 << g.n) - 1
-    masks = _union_masks(separator_sets)
-    union = [0] * (1 << k)
-    best_num = best_den = 0
-    best_mask = 0
-    found = False
-    for fam in range(1, 1 << k):
-        low = fam & -fam
-        s_mask = union[fam ^ low] | masks[low.bit_length() - 1]
-        union[fam] = s_mask
-        comp = count_components_mask(adjmask, full ^ s_mask)
-        if comp >= 2:
-            size = s_mask.bit_count()
-            better = not found or size * best_den < best_num * comp
-            tie = found and size * best_den == best_num * comp and s_mask < best_mask
-            if better or tie:
-                found = True
-                best_num = size
-                best_den = comp
-                best_mask = s_mask
-    if not found:
-        raise CompleteGraphError("no candidate union disconnects the graph")
-    return OracleResult(Fraction(best_num, best_den), frozenset(_bits(best_mask)), (1 << k) - 1)
+    size, comp, witness = _best(_unions(g, separator_sets, max_sets), "candidate union",
+                                _less_tough)
+    return OracleResult(Fraction(size, comp), witness, (1 << len(separator_sets)) - 1)

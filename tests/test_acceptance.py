@@ -9,14 +9,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import load_fixture
+from conftest import UnionFind, load_fixture
 from strictchordal import (
     GenParams,
     analyze,
     border_mvs_exists,
     brute_force_scattering,
     brute_force_toughness,
-    build_cb,
     build_clique_tree,
     connected_components,
     minimal_vertex_separators,
@@ -129,10 +128,15 @@ def test_criterion_5_invariants(corpus):
                 count, _ = connected_components(g, s.vertices)
                 assert count == s.multiplicity + 1
             report = analyze(g)
-            if seps:
-                cb = build_cb(ct, seps)  # raises if not a tree
-                if len(seps) > 1:
-                    assert border_mvs_exists(cb)
+            # the incidence structure is a tree: one edge fewer than nodes,
+            # and its edges join every node
+            uf = UnionFind(ct.n_cliques + len(seps))
+            for s, c in zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()):
+                uf.union(c, ct.n_cliques + s)
+            assert len(seps.pair_sep) == ct.n_cliques + len(seps) - 1
+            assert len({uf.find(v) for v in range(ct.n_cliques + len(seps))}) == 1
+            if len(seps) > 1:
+                assert border_mvs_exists(seps)
             if report.case == CASE_COMPLETE:
                 continue
             count, _ = connected_components(g, report.scattering_set)

@@ -9,8 +9,8 @@ import pytest
 import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
-from strictchordal import serialize_graph, vulnerability
-from strictchordal.cli import main
+from strictchordal import chordal, serialize_graph, vulnerability
+from strictchordal.cli import main, report_document
 from strictchordal.errors import GraphError
 
 REQUIRED_KEYS = {"n", "m", "chordal", "strictly_chordal", "separators",
@@ -111,6 +111,31 @@ def test_analyze_dumps_go_to_stderr(capsys):
     assert "clique 0:" in err
     assert "separator:" in err
     assert "graph cb {" in err
+
+
+def test_analyze_and_report_build_no_separator_info(monkeypatch):
+    # the separator table stays arrays from minimal_vertex_separators to the
+    # report; SeparatorInfo entries are built only when a caller asks
+    def forbidden(**fields):
+        raise AssertionError("a SeparatorInfo was built")
+
+    monkeypatch.setattr(chordal, "SeparatorInfo", forbidden)
+    graphs = [parse_graph(path.read_text()) for path in sorted(FIXTURE_DIR.iterdir())]
+    graphs += [random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 12,
+                                                 max_block_size=2 + seed % 4,
+                                                 max_twins=seed % 3))
+               for seed in range(100)]
+    cases = set()
+    for g in graphs:
+        try:
+            report = analyze(g)
+        except GraphError:  # c4, gem and dart, after their witness is built
+            continue
+        report_document(g, report)
+        cases.add(report.case)
+    assert cases == {"complete", "single_mvs", "tough_ge_1", "type_a", "type_b"}
+    with pytest.raises(AssertionError):
+        list(report.separators)
 
 
 def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
@@ -298,6 +323,10 @@ def test_console_entry_point_subprocess():
     (["check", "--count", "-3", "--max-n", "8", "--seed", "1"], {}),
     (["gen", "--seed", "1", "--blocks", "0"], {}),
     (["gen", "--seed", "1", "--max-block", "1"], {}),
+    (["gen", "--seed", "1", "--target-n", "1000000000000"], {}),  # unbounded allocation
+    (["gen", "--seed", "1", "--blocks", "5000000"], {}),
+    (["gen", "--seed", "1", "--max-block", "2000000"], {}),
+    (["gen", "--seed", "1", "--target-n", "100", "--max-block", "2000000"], {}),
     (["bench", "--sizes", "10,abc", "--seed", "1"], {}),
     (["bench", "--sizes", "0", "--seed", "1"], {}),
     (["oracle", fixture("fig2_g2.gr")], {"SCATTER_ORACLE_CAP": "abc"}),

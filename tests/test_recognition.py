@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from conftest import (
-    corpus_params,
+    UnionFind,
     dart,
     diamond,
     double_star,
@@ -12,12 +13,10 @@ from conftest import (
 )
 from strictchordal import (
     border_mvs_exists,
-    build_cb,
     build_clique_tree,
     minimal_vertex_separators,
 )
-from strictchordal.generator import random_strictly_chordal
-from strictchordal.recognition import MVS, TRUE_CLIQUE, separator_overlap
+from strictchordal.recognition import separator_overlap
 
 
 def pipeline(g):
@@ -29,12 +28,14 @@ def is_strictly_chordal(seps):
     return separator_overlap(seps) is None
 
 
-def degree(cb, v):
-    return cb.indptr[v + 1] - cb.indptr[v]
+def degrees(seps):
+    """Incidence-tree degree of each node: the cliques, then the separators."""
+    return np.concatenate((np.bincount(seps.pair_clique, minlength=seps.n_cliques),
+                           np.bincount(seps.pair_sep, minlength=len(seps))))
 
 
-def node_count(cb):
-    return len(cb.indptr) - 1
+def node_count(seps):
+    return seps.n_cliques + len(seps)
 
 
 def test_single_separator_is_strictly_chordal():
@@ -66,79 +67,73 @@ def test_fig2_g1_separators_are_disjoint():
     }
 
 
-# --- build_cb ---------------------------------------------------------------
+# --- incidence tree ------------------------------------------------------------
 
 def test_cb_path():
-    cb = build_cb(*pipeline(path_graph(3)))
-    assert node_count(cb) == 3
-    assert cb.n_cliques == 2
-    assert sum(degree(cb, v) for v in range(node_count(cb))) == 2 * 2
+    _, seps = pipeline(path_graph(3))
+    assert node_count(seps) == 3
+    assert seps.n_cliques == 2
+    assert degrees(seps).sum() == 2 * 2
 
 
 def test_cb_star():
-    cb = build_cb(*pipeline(star_graph(3)))
-    assert node_count(cb) == 4  # 3 edge-cliques + 1 separator
-    assert degree(cb, cb.n_cliques) == 3
+    _, seps = pipeline(star_graph(3))
+    assert node_count(seps) == 4  # 3 edge-cliques + 1 separator
+    assert degrees(seps)[seps.n_cliques] == 3
 
 
 def test_cb_fig2_g2():
-    cb = build_cb(*pipeline(load_fixture("fig2_g2.gr")))
-    assert node_count(cb) == 17  # 12 cliques + 5 separators
-    assert sum(degree(cb, v) for v in range(node_count(cb))) == 2 * 16
+    _, seps = pipeline(load_fixture("fig2_g2.gr"))
+    assert node_count(seps) == 17  # 12 cliques + 5 separators
+    assert degrees(seps).sum() == 2 * 16
 
 
 def test_cb_labels_initialized():
-    cb = build_cb(*pipeline(double_star()))
-    q = cb.n_cliques
-    assert all(status == TRUE_CLIQUE for status in cb.status[:q])
-    assert all(status == MVS for status in cb.status[q:])
-    assert all(e == 0 for e in cb.entry)
-    assert all(p == -1 for p in cb.parent)
-    for i, info in enumerate(cb.separators):
-        node = q + i
-        assert cb.card[node] == len(info.vertices)
-        assert cb.mu[node] == info.multiplicity
+    # the sizes and multiplicities the type-B pass starts from
+    ct, seps = pipeline(double_star())
+    assert seps.clique_sizes.tolist() == [len(ct.clique(q)) for q in range(ct.n_cliques)]
+    for i, info in enumerate(seps):
+        assert seps.sizes[i] == len(info.vertices)
+        assert seps.mult[i] == info.multiplicity
 
 
 def _assert_cb_invariants(g):
     ct, seps = pipeline(g)
     if not is_strictly_chordal(seps):
         pytest.fail("corpus graph not strictly chordal")
-    cb = build_cb(ct, seps)
-    q = cb.n_cliques
-    n_edges = sum(degree(cb, v) for v in range(node_count(cb))) // 2
-    assert n_edges == node_count(cb) - 1
-    for i, info in enumerate(cb.separators):
-        node = q + i
+    q = seps.n_cliques
+    deg = degrees(seps)
+    # a tree: one edge fewer than nodes, and the edges join every node
+    assert len(seps.pair_sep) == node_count(seps) - 1
+    uf = UnionFind(node_count(seps))
+    for s, c in zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()):
+        uf.union(c, q + s)
+    assert len({uf.find(v) for v in range(node_count(seps))}) == 1
+    for i, info in enumerate(seps):
         # degree of a separator node is its multiplicity + 1
-        assert degree(cb, node) == info.multiplicity + 1
+        assert deg[q + i] == info.multiplicity + 1
         # every neighbour is a clique node containing the separator
-        for c in cb.neighbors[cb.indptr[node]:cb.indptr[node + 1]]:
+        for c in info.adjacent_cliques:
             assert c < q
             assert info.vertices <= ct.cliques[c]
-    # edges alternate: clique nodes only see separator nodes
-    for c in range(q):
-        for w in cb.neighbors[cb.indptr[c]:cb.indptr[c + 1]]:
-            assert w >= q
-        # neighbour lists ascend (deterministic child order)
-        nbrs = cb.neighbors[cb.indptr[c]:cb.indptr[c + 1]]
-        assert nbrs == sorted(nbrs)
+    # the pairs run by separator and then clique, without repeats
+    pairs = list(zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()))
+    assert pairs == sorted(set(pairs))
     # separator nodes are ordered by smallest contained vertex
-    mins = [min(info.vertices) for info in cb.separators]
+    mins = [min(info.vertices) for info in seps]
     assert mins == sorted(mins)
     # leaf clique nodes contain exactly one separator and are the boundary
     # cliques counted during separator extraction
     leaf_counts = {i: 0 for i in range(len(seps))}
-    for c in range(q):
-        if degree(cb, c) == 1:
-            sep_node = cb.neighbors[cb.indptr[c]]
-            leaf_counts[sep_node - q] += 1
+    for s, c in pairs:
+        if deg[c] == 1:
+            leaf_counts[s] += 1
             inside = [i for i in range(len(seps)) if seps[i].vertices <= ct.cliques[c]]
-            assert len(inside) == 1
+            assert inside == [s]
     for i, info in enumerate(seps):
         assert info.boundary_count == leaf_counts[i]
     if len(seps) > 1:
-        assert border_mvs_exists(cb)
+        assert border_mvs_exists(seps)
 
 
 def test_cb_invariants_on_fixtures_and_corpus(corpus):
@@ -147,24 +142,23 @@ def test_cb_invariants_on_fixtures_and_corpus(corpus):
 
 
 def test_border_mvs_on_fig2_g2():
-    ct, seps = pipeline(load_fixture("fig2_g2.gr"))
-    cb = build_cb(ct, seps)
-    assert border_mvs_exists(cb)
+    _, seps = pipeline(load_fixture("fig2_g2.gr"))
+    assert border_mvs_exists(seps)
     # each branch separator has both its outer cliques as leaves
     table = {min(s.vertices): s for s in seps}
     assert table[1].boundary_count == 2 == table[1].multiplicity
 
 
 def test_border_mvs_on_double_star():
-    cb = build_cb(*pipeline(double_star()))
-    assert border_mvs_exists(cb)
+    _, seps = pipeline(double_star())
+    assert border_mvs_exists(seps)
 
 
 def test_border_mvs_on_diamond_single_separator():
     # the guarantee needs at least two separators: the diamond's sole
     # separator has two boundary cliques but multiplicity one
-    cb = build_cb(*pipeline(diamond()))
-    assert not border_mvs_exists(cb)
+    _, seps = pipeline(diamond())
+    assert not border_mvs_exists(seps)
 
 
 def test_vertex_to_separator_assignment_is_a_function(corpus):
