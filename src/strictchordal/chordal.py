@@ -5,9 +5,10 @@ the follower test certifies it; the maximal cliques, the clique tree and the
 minimal-vertex-separator multiset all fall out of one pass over the ordering.
 The edge-heavy steps run on numpy arrays so large instances stay cheap.
 
-The search and the clique tree may run on the true-twin quotient of a graph
-(``true_twin_quotient``: one vertex per class of equal closed
-neighbourhoods) and be expanded back with ``CliqueTree.expand``.  Every
+The search, the clique tree and the separator rows may run on the true-twin
+quotient of a graph (``true_twin_quotient``: one vertex per class of equal
+closed neighbourhoods); the ``CliqueTree`` keeps the classes and spreads
+them into vertices only where cliques and separators are read out.  Every
 maximal clique and minimal separator of a graph is a union of such classes,
 and adding a true twin creates no chordless cycle, so the quotient has the
 same cliques, separators, connectivity and chordality, on far fewer edges
@@ -285,36 +286,43 @@ def true_twin_quotient(g: Graph):
 
 @dataclass
 class CliqueTree:
-    """Maximal cliques of a connected chordal graph and a clique tree.
+    """Maximal cliques of a connected chordal graph and a clique tree, kept
+    on the graph's true-twin classes.
 
-    Cliques are stored in CSR form: clique q occupies
+    The arrays hold class ids: class x stands for the vertices
+    ``members[class_ptr[x]:class_ptr[x + 1]]``.  Cliques are stored in CSR
+    form: clique q occupies
     ``clique_indices[clique_indptr[q]:clique_indptr[q+1]]``, representative
-    vertex first and the overlap with the parent clique (the separator of the
-    edge toward it, ``sep_len[q]`` vertices) last.  Tree edge e joins
-    ``edge_child[e]`` to ``edge_parent[e]``.  All of it is computed from the
-    graph's CSR arrays (``g.csr()``) and the search order, never from
+    class first and the overlap with the parent clique (the separator of the
+    edge toward it, ``sep_len[q]`` classes) last.  Tree edge e joins
+    ``edge_child[e]`` to ``edge_parent[e]``.  ``clique(q)`` and
+    ``separator_slice(e)`` spread the classes into vertices in that layout,
+    each class ascending.  All of it is computed from the CSR arrays of the
+    graph the search ran on (``g.csr()``) and the search order, never from
     Python neighbour lists.
     """
 
-    n_vertices: int
-    peo: list[int]
     clique_indptr: np.ndarray
     clique_indices: np.ndarray
     sep_len: np.ndarray
     edge_child: np.ndarray
     edge_parent: np.ndarray
+    class_ptr: np.ndarray
+    members: np.ndarray
 
     @property
     def n_cliques(self) -> int:
         return len(self.clique_indptr) - 1
 
     def clique(self, q: int) -> np.ndarray:
-        return self.clique_indices[self.clique_indptr[q]:self.clique_indptr[q + 1]]
+        classes = self.clique_indices[self.clique_indptr[q]:self.clique_indptr[q + 1]]
+        return _spread(classes, self.class_ptr, self.members)[0]
 
     def separator_slice(self, e: int) -> np.ndarray:
         child = self.edge_child[e]
         end = self.clique_indptr[child + 1]
-        return self.clique_indices[end - self.sep_len[child]:end]
+        classes = self.clique_indices[end - self.sep_len[child]:end]
+        return _spread(classes, self.class_ptr, self.members)[0]
 
     @cached_property
     def cliques(self) -> list[frozenset]:
@@ -327,30 +335,6 @@ class CliqueTree:
              frozenset(self.separator_slice(e).tolist()))
             for e in range(len(self.edge_child))
         ]
-
-    def expand(self, class_ptr, members) -> CliqueTree:
-        """This tree with each vertex x replaced by its class
-        ``members[class_ptr[x]:class_ptr[x + 1]]``.
-
-        Applied to the tree of a true-twin quotient with the classes of
-        ``true_twin_quotient``, it gives a clique tree of the original graph:
-        the same tree edges, each clique the union of its vertices' classes
-        in the same layout, ``sep_len`` the sum of the separator's class
-        sizes, and the perfect elimination ordering with each class listed
-        consecutively.
-        """
-        indices, ends = _spread(self.clique_indices, class_ptr, members)
-        clique_indptr = ends[self.clique_indptr]
-        peo, _ = _spread(np.asarray(self.peo, dtype=np.int64), class_ptr, members)
-        return CliqueTree(
-            n_vertices=len(members),
-            peo=peo.tolist(),
-            clique_indptr=clique_indptr,
-            clique_indices=indices,
-            sep_len=clique_indptr[1:] - ends[self.clique_indptr[1:] - self.sep_len],
-            edge_child=self.edge_child,
-            edge_parent=self.edge_parent,
-        )
 
 
 def _spread(xs, class_ptr, members):
@@ -365,23 +349,25 @@ def _spread(xs, class_ptr, members):
 
 def build_clique_tree(g: Graph) -> CliqueTree:
     """Maximal cliques and a clique tree of a connected chordal graph, built
-    from ``mcs_order(g)``.
+    from ``mcs_order(g)`` with every vertex a class of its own.
 
     Raises NotConnectedError, or NotChordalError carrying a chordless-cycle
     witness when one could be recovered.  Cliques appear in the order their
     representatives are visited; each non-root clique is attached to the
     clique its representative's follower was numbered into.  ``analyze``
-    builds its tree the same way on the true-twin quotient and expands it,
-    so its clique numbering (``VulnerabilityReport.clique_tree``) may differ
-    from this one.
+    builds its tree the same way on the true-twin quotient, so its clique
+    numbering (``VulnerabilityReport.clique_tree``) may differ from this one.
     """
-    return _clique_tree_from_mcs(g, mcs_order(g))
+    ids = np.arange(g.n + 1, dtype=np.int64)
+    return _clique_tree_from_mcs(g, mcs_order(g), ids, ids[:-1])
 
 
-def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
+def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
+    """The clique tree of g from its search order, vertex x of g standing
+    for the class ``members[class_ptr[x]:class_ptr[x + 1]]``; a chordless
+    cycle is reported through the first member of each class."""
     n = g.n
-    peo = list(order)
-    order = np.asarray(peo, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
     pos, tails, heads, sizes, follower, (bad_u, bad_f, bad_w) = _orient(g, order)
     # a connected graph has exactly one vertex without later neighbours (the
     # last of the ordering); each extra one starts another component
@@ -393,6 +379,8 @@ def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
             cycle = find_chordless_cycle(g, u, a, b)
             if cycle is not None:
                 break
+        if cycle is not None:
+            cycle = members[class_ptr[cycle]].tolist()
         raise NotChordalError("graph is not chordal", cycle=cycle)
 
     # sizes[v] is v's weight when the search visited it.  The clique being
@@ -427,13 +415,13 @@ def _clique_tree_from_mcs(g: Graph, order) -> CliqueTree:
     np.cumsum(numbered + sep_len, out=out_indptr[1:])
     # each non-root clique hangs off the clique of its representative's follower
     return CliqueTree(
-        n_vertices=n,
-        peo=peo,
         clique_indptr=out_indptr,
         clique_indices=out,
         sep_len=sep_len,
         edge_child=np.arange(1, k, dtype=np.int64),
         edge_parent=clique_of[follower[reps[1:]]],
+        class_ptr=class_ptr,
+        members=members,
     )
 
 
@@ -463,12 +451,15 @@ class Separators:
     """The distinct minimal vertex separators of a clique tree, as arrays.
 
     Separator s is ``indices[indptr[s]:indptr[s + 1]]``, ascending, and has
-    ``sizes[s]`` vertices; the separators are sorted by smallest vertex, and
-    those sharing it by their contents.  ``mult[s]`` counts the tree edges
-    labelled with s and ``boundary[s]`` its boundary cliques, those incident
-    to no other separator.  The clique/separator incidences are the pairs
-    ``(pair_sep[j], pair_clique[j])``, sorted by separator and then clique;
-    ``clique_sizes`` holds the sizes of the tree's ``n_cliques`` cliques.
+    ``sizes[s]`` vertices.  The separators are sorted by their rows of the
+    clique tree's classes.  Class ids ascend with each class's least vertex,
+    so disjoint separators come by smallest vertex; separators that overlap
+    (only outside the class) may tie-break by class rows, not by vertices.
+    ``mult[s]`` counts the tree edges labelled with s and ``boundary[s]`` its
+    boundary cliques, those incident to no other separator.  The
+    clique/separator incidences are the pairs ``(pair_sep[j],
+    pair_clique[j])``, sorted by separator and then clique; ``clique_sizes``
+    holds the sizes (in vertices) of the tree's ``n_cliques`` cliques.
 
     It is also a read-only sequence: ``len(seps)``, ``seps[s]`` and
     iteration give ``SeparatorInfo`` entries, built on each access.
@@ -506,20 +497,20 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     """Distinct minimal vertex separators with multiplicities, as a
     ``Separators`` table.
 
-    Separators are grouped by content (rows padded to the largest separator
-    size, sorted and deduplicated); the multiplicities sum to the number of
-    tree edges.
+    Separators are grouped by their rows of the tree's classes (padded to
+    the widest such row, sorted and deduplicated), and each distinct row is
+    then spread into its vertices; the multiplicities sum to the number of
+    tree edges.  On a block duplicate graph every row is one class.
     """
     n_edges = len(ct.edge_child)
     n_cliques = ct.n_cliques
     indptr = ct.clique_indptr
-    indices = ct.clique_indices
     lens = ct.sep_len[ct.edge_child]
     starts = indptr[ct.edge_child + 1] - lens
     total = int(lens.sum())
     grp = np.repeat(np.arange(n_edges, dtype=np.int64), lens)
     within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    vals = indices[starts[grp] + within]
+    vals = ct.clique_indices[starts[grp] + within]
     # sort each edge's separator content; blocks stay contiguous, so the
     # within-block slot indices are unchanged
     vals = vals[np.lexsort((vals, grp))]
@@ -546,14 +537,19 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     pair_sep, pair_clique = np.divmod(pair_keys[fresh], n_cliques)
     # boundary cliques contain exactly one distinct separator
     leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
-    sizes = (rows >= 0).sum(axis=1)
+    # each row's classes spread into vertices, sorted within the row
     row_ptr = np.zeros(n_seps + 1, dtype=np.int64)
-    np.cumsum(sizes, out=row_ptr[1:])
+    np.cumsum((rows >= 0).sum(axis=1), out=row_ptr[1:])
+    vertices, ends = _spread(rows[rows >= 0], ct.class_ptr, ct.members)
+    row_ptr = ends[row_ptr]
+    sizes = np.diff(row_ptr)
+    vertices = vertices[np.lexsort((vertices, np.repeat(np.arange(n_seps), sizes)))]
+    class_sizes = np.diff(ct.class_ptr)
     return Separators(
         n_cliques=n_cliques,
-        clique_sizes=np.diff(indptr),
+        clique_sizes=np.add.reduceat(class_sizes[ct.clique_indices], indptr[:-1]),
         indptr=row_ptr,
-        indices=rows[rows >= 0],
+        indices=vertices,
         sizes=sizes,
         mult=np.bincount(sid, minlength=n_seps),
         boundary=np.bincount(pair_sep[leaf[pair_clique]], minlength=n_seps),

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,7 +170,8 @@ def test_is_mcs_order_accepts_alternative_tie_breaks():
     assert is_mcs_order(g, [0, 1, 2])   # visits 2, 1, 0
     assert is_mcs_order(g, [2, 0, 1])   # visits 1 first, then either end
     assert not is_mcs_order(g, [1, 0, 2])  # middle vertex cannot come last
-    ct = _clique_tree_from_mcs(g, [0, 1, 2])
+    ids = np.arange(4)
+    ct = _clique_tree_from_mcs(g, [0, 1, 2], ids, ids[:-1])
     assert sorted(ct.cliques, key=sorted) == [frozenset({0, 1}), frozenset({1, 2})]
 
 

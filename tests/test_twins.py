@@ -1,8 +1,10 @@
 """The true-twin quotient: exact classes, the induced graph on the
-representatives, the expanded clique tree, and analyze's answers through it
-(including when every fingerprint collides)."""
+representatives, the clique tree that keeps the classes, and analyze's
+answers and witnesses through it (including when every fingerprint
+collides)."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +24,7 @@ from strictchordal import (
     analyze,
     build_clique_tree,
     chordal,
+    connected_components,
     mcs_order,
     minimal_vertex_separators,
     verify_peo,
@@ -32,6 +35,7 @@ from strictchordal.errors import (
     GraphError,
     NotChordalError,
     NotConnectedError,
+    NotStrictlyChordalError,
 )
 from strictchordal.generator import GenParams, random_strictly_chordal
 from strictchordal.vulnerability import CASE_COMPLETE
@@ -109,30 +113,80 @@ def test_quotient_of_false_twins_only_is_the_graph():
     assert h is g and reps.tolist() == [0, 1, 2, 3]
 
 
-def test_expanded_clique_tree_is_a_clique_tree_of_the_graph():
+def test_class_clique_tree_is_a_clique_tree_of_the_graph():
     for g in quotient_graphs():
         if not verify_peo(g, mcs_order(g)):
             continue
-        h, reps, class_ptr, members = true_twin_quotient(g)
+        h, _, class_ptr, members = true_twin_quotient(g)
         try:
-            ct = _clique_tree_from_mcs(h, mcs_order(h)).expand(class_ptr, members)
+            ct = _clique_tree_from_mcs(h, mcs_order(h), class_ptr, members)
         except NotConnectedError:
             continue
+        # cliques are g's maximal cliques, each separator_slice(e) (read by
+        # tree_edges) is the intersection of its edge's cliques, and the
+        # running intersection property holds
         _assert_clique_tree_invariants(g, ct)
-        assert ct.n_vertices == g.n
-        assert verify_peo(g, ct.peo)
-        position = {v: i for i, v in enumerate(ct.peo)}
-        for cls in classes_of(class_ptr, members):
-            assert sorted(position[v] for v in cls) == list(
-                range(position[cls[0]], position[cls[0]] + len(cls)))
-        # sep_len still counts the trailing overlap with the parent clique
-        for e in range(len(ct.edge_child)):
-            c, p = ct.edge_child[e], ct.edge_parent[e]
-            assert set(ct.separator_slice(e).tolist()) == set(
-                ct.clique(c).tolist()) & set(ct.clique(p).tolist())
+        class_sizes = np.diff(class_ptr)
+        for q in range(ct.n_cliques):
+            classes = ct.clique_indices[ct.clique_indptr[q]:ct.clique_indptr[q + 1]]
+            assert class_sizes[classes].sum() == len(ct.clique(q))
         ref = minimal_vertex_separators(build_clique_tree(g))
         assert [(s.vertices, s.multiplicity) for s in minimal_vertex_separators(ct)] == [
             (s.vertices, s.multiplicity) for s in ref]
+
+
+def _assert_minimal_separator(g: Graph, sep):
+    """Removing sep leaves at least two full components: components in
+    which every vertex of sep has a neighbour."""
+    count, labels = connected_components(g, sep)
+    nbrs = neighbours(g)
+    full = [c for c in range(count)
+            if all(any(labels[w] == c for w in nbrs[v]) for v in sep)]
+    assert len(full) >= 2, sorted(sep)
+
+
+def test_overlap_witnesses_through_twins_are_valid():
+    # chordal G(n, p) graphs with planted true twins: every rejection names
+    # a vertex lying in two different minimal separators of g
+    rng = random.Random(23)
+    analysed = rejected = 0
+    while analysed < 1000:
+        base = random_graph(rng, rng.randint(4, 9), rng.uniform(0.3, 0.8))
+        if not verify_peo(base, mcs_order(base)):
+            continue
+        g = plant_twins(base, rng, rng.randint(1, 14 - base.n))
+        try:
+            analyze(g)
+        except NotConnectedError:
+            continue
+        except NotStrictlyChordalError as err:
+            first, second = err.separators
+            assert first != second and err.vertex in first & second
+            _assert_minimal_separator(g, first)
+            _assert_minimal_separator(g, second)
+            rejected += 1
+        analysed += 1
+    assert rejected >= 100
+
+
+def test_separator_memory_stays_small_beside_one_wide_separator():
+    # two 501-vertex cliques sharing 500 twins, and a path hanging off one
+    # of them: 20,002 tree edges, one separator of 500 vertices.  Rows padded
+    # to the widest separator of g would take about 170 MB; on the classes
+    # the widest row is one class
+    shared = list(combinations(range(500), 2))
+    edges = shared + [(v, 500) for v in range(500)] + [(v, 501) for v in range(500)]
+    edges += [(v, v + 1) for v in range(501, 20_502)]
+    g = Graph(20_503, edges)
+    tracemalloc.start()
+    try:
+        report = analyze(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.separators.sizes.max() == 500
+    assert len(report.clique_tree.edge_child) == 20_002
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def outcome(g: Graph):
