@@ -43,7 +43,7 @@ BENCH_STAGES = ("twins", "mcs", "clique_tree", "separators", "vulnerability")
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_graph(text)

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from .errors import ParseError
+from .errors import InternalError, ParseError
 
 # Largest vertex count a graph may declare.  It bounds what a header line can
 # make the parser allocate, and keeps the edge keys tail * n + head in int64.
 MAX_VERTICES = 10**7
-
-_INT = re.compile(r"-?[0-9]+")
 
 
 class Graph:
@@ -116,24 +112,21 @@ def parse_graph(text: str) -> Graph:
     Duplicate edges are collapsed (the count is kept on the graph);
     self-loops and out-of-range ids raise ParseError.
 
-    ASCII text is read by one numpy scan of its bytes.  Text the scan finds
-    any fault in, and non-ASCII text, goes through the line-by-line parser,
-    which raises the ParseError with its line number.
+    Only ASCII whitespace separates tokens and only ASCII line breaks end
+    lines; any other character, a lone surrogate too, is part of a token.
+    The text's UTF-8 bytes are read by one numpy scan, and text the scan
+    rejects goes to ``_fault``, which raises the ParseError naming the first
+    faulty line.
     """
-    if text.isascii():
-        g = _scan(text)
-        if g is not None:
-            return g
-    return _parse_lines(text)
+    return _scan(text) or _fault(text)
 
 
 def _scan(text: str) -> Graph | None:
-    """Graph of ASCII ``text``, or None where ``_parse_lines`` would raise.
-
-    Tokens and lines are cut as ``str.split`` and ``str.splitlines`` cut
-    them, and the checks are those of the line parser, run as array masks.
+    """Graph of ``text``, or None where ``_fault`` raises: its checks run as
+    array masks over the tokens of the text's UTF-8 bytes, which die before
+    the graph is built (held longer, they cost repeated calls fresh pages).
     """
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     starts, ends, head = _tokens(buf)
     if len(starts) == 0:
         return None
@@ -144,14 +137,14 @@ def _scan(text: str) -> Graph | None:
     single = ends[first] - starts[first] == 1
 
     def token(i):
-        return text[starts[i]:ends[i]]
+        return buf[starts[i]:ends[i]].tobytes()
 
     if single[0] and int(lead[0]) in b"cp":
         # DIMACS-like: past the comment lines, one p line, then e lines
         body = ~(single & (lead == ord("c")))
         first, count, lead, single = first[body], count[body], lead[body], single[body]
         if not (len(first) and single[0] and lead[0] == ord("p") and count[0] == 4
-                and token(first[0] + 1) == "edge"
+                and token(first[0] + 1) == b"edge"
                 and (single[1:] & (lead[1:] == ord("e")) & (count[1:] == 3)).all()):
             return None
         header, ids, base = first[0] + 2, first[1:] + 1, 1
@@ -170,7 +163,7 @@ def _scan(text: str) -> Graph | None:
     ids = np.concatenate((ids, ids + 1))
     id_starts, id_ends = starts[ids], ends[ids]
     del starts, ends, ids
-    values = _scan_ints(text, buf, id_starts, id_ends)
+    values = _scan_ints(buf, id_starts, id_ends)
     del buf, id_starts, id_ends
     if values is None:
         return None
@@ -197,9 +190,14 @@ def _breaks(buf):
 
 
 def _tokens(buf):
-    """``(starts, ends, head)`` of the whitespace-separated tokens of ASCII
-    bytes ``buf``: token i is ``buf[starts[i]:ends[i]]``, and ``head[i]`` is
-    True when it is the first token of its line."""
+    """``(starts, ends, head)`` of the tokens of the bytes ``buf``: token i
+    is ``buf[starts[i]:ends[i]]``, and ``head[i]`` is True when it is the
+    first token of its line.
+
+    Tokens are cut at ASCII whitespace and lines at ASCII line breaks, as
+    ``str.split`` and ``str.splitlines`` cut ASCII text; every byte from
+    0x80 up is part of a token, so a token never splits a UTF-8 sequence.
+    """
     space = np.ones(len(buf) + 2, dtype=bool)  # padded with a space each side
     space[1:-1] = _spaces(buf)
     starts = np.flatnonzero(space[:-2] > space[1:-1])
@@ -213,8 +211,8 @@ def _tokens(buf):
     return starts, ends, head[:-1]
 
 
-def _scan_ints(text, buf, starts, ends):
-    """The tokens ``text[starts[i]:ends[i]]`` as int64 values, or None if one
+def _scan_ints(buf, starts, ends):
+    """The tokens ``buf[starts[i]:ends[i]]`` as int64 values, or None if one
     is not ``-?[0-9]+`` or is beyond 18 digits once leading zeros are dropped
     (too large for a vertex id).  Overwrites ``starts`` and ``ends``."""
     value = np.zeros(len(starts), dtype=np.int64)
@@ -223,7 +221,7 @@ def _scan_ints(text, buf, starts, ends):
     neg = buf[starts] == ord("-")
     starts += neg
     for i in np.flatnonzero(ends - starts > 18):
-        if text[starts[i]:ends[i] - 18].strip("0"):
+        if (buf[starts[i]:ends[i] - 18] != ord("0")).any():
             return None
         starts[i] = ends[i] - 18
     width = ends
@@ -246,94 +244,72 @@ def _scan_ints(text, buf, starts, ends):
     return value
 
 
-def _parse_lines(text: str) -> Graph:
-    lines = text.splitlines()
-    first = None
-    for line in lines:
-        stripped = line.strip()
-        if stripped:
-            first = stripped
-            break
-    if first is None:
-        raise ParseError("empty input")
-    if first.split()[0] in ("c", "p"):
-        return _parse_dimacs(lines)
-    return _parse_plain(lines)
+def _fault(text: str):
+    """Raise the ParseError for the first faulty line of ``text``, which
+    ``_scan`` rejected.
+
+    Lines and tokens are cut where ``_tokens`` cuts them, and lines are
+    numbered from 1 at each line break, a CRLF counting once.  The lines are
+    walked in order with the format's checks.
+    """
+    data = text.encode("utf-8", "surrogatepass").replace(b"\r\n", b"\n")  # a CRLF ends one line
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Each line break made "\n" and any other whitespace " ", so that
+    # split(b"\n") cuts the lines and split() their tokens.
+    marked = np.where(_spaces(buf), np.uint8(ord(" ")), buf)
+    marked[_breaks(buf)] = ord("\n")
+    marked = marked.tobytes()
+    dimacs = marked.split(maxsplit=1)[:1] in ([b"c"], [b"p"])
+    base, n = int(dimacs), None
+    for line_no, line in enumerate(marked.split(b"\n"), start=1):
+        line = line.split()
+        if not line or dimacs and line[0] == b"c":
+            continue
+        what = ("value", "value")
+        if dimacs:  # strip the kind; p and e lines then hold two numbers
+            kind = line.pop(0)
+            if kind == b"p":
+                if n is not None:
+                    raise ParseError("duplicate problem line", line_no)
+                if len(line) != 3 or line.pop(0) != b"edge":
+                    raise ParseError("problem line must be 'p edge <n> <m>'", line_no)
+            elif kind != b"e":
+                raise ParseError(f"unknown line type {_text(kind)!r}", line_no)
+            elif n is None:
+                raise ParseError("edge line before problem line", line_no)
+            elif len(line) != 2:
+                raise ParseError("edge line must be 'e <u> <v>'", line_no)
+            what = ("vertex count", "edge count") if n is None else ("vertex id", "vertex id")
+        elif len(line) != 2:
+            raise ParseError("expected two whitespace-separated integers", line_no)
+        a = _parse_int(line[0], what[0], line_no)
+        b = _parse_int(line[1], what[1], line_no)
+        if n is None:
+            if a < 0:
+                raise ParseError("vertex count must be non-negative", line_no)
+            if a > MAX_VERTICES:
+                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
+            n = a
+        elif not (base <= a < n + base and base <= b < n + base):
+            raise ParseError(f"vertex id out of range {base}..{n + base - 1}", line_no)
+        elif a == b:
+            raise ParseError(f"self-loop at vertex {a}", line_no)
+    if n is None:
+        raise ParseError("missing problem line" if dimacs else "empty input")
+    raise InternalError("the scan rejected a graph file with no faulty line")
 
 
-def _parse_int(token: str, what: str, line_no: int) -> int:
-    if _INT.fullmatch(token):
+def _parse_int(token: bytes, what: str, line_no: int) -> int:
+    if token.removeprefix(b"-").isdigit():  # -?[0-9]+, as bytes.isdigit is ASCII
         try:
             return int(token)
         except ValueError:  # beyond the interpreter's limit on digits
             pass
-    raise ParseError(f"expected integer {what}, got {token!r}", line_no)
+    raise ParseError(f"expected integer {what}, got {_text(token)!r}", line_no)
 
 
-def _parse_dimacs(lines) -> Graph:
-    n = None
-    edges = []
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        kind = tokens[0]
-        if kind == "p":
-            if n is not None:
-                raise ParseError("duplicate problem line", line_no)
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError("problem line must be 'p edge <n> <m>'", line_no)
-            n = _parse_int(tokens[2], "vertex count", line_no)
-            _parse_int(tokens[3], "edge count", line_no)
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", line_no)
-            if n > MAX_VERTICES:
-                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
-        elif kind == "e":
-            if n is None:
-                raise ParseError("edge line before problem line", line_no)
-            if len(tokens) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", line_no)
-            u = _parse_int(tokens[1], "vertex id", line_no)
-            v = _parse_int(tokens[2], "vertex id", line_no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex id out of range 1..{n}", line_no)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", line_no)
-            edges.append((u - 1, v - 1))
-        else:
-            raise ParseError(f"unknown line type {kind!r}", line_no)
-    if n is None:
-        raise ParseError("missing problem line")
-    return Graph(n, edges, id_base=1)
-
-
-def _parse_plain(lines) -> Graph:
-    n = None
-    edges = []
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise ParseError("expected two whitespace-separated integers", line_no)
-        a = _parse_int(tokens[0], "value", line_no)
-        b = _parse_int(tokens[1], "value", line_no)
-        if n is None:
-            n = a
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", line_no)
-            if n > MAX_VERTICES:
-                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
-            continue
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"vertex id out of range 0..{n - 1}", line_no)
-        if a == b:
-            raise ParseError(f"self-loop at vertex {a}", line_no)
-        edges.append((a, b))
-    if n is None:
-        raise ParseError("empty input")
-    return Graph(n, edges, id_base=0)
+def _text(token: bytes) -> str:
+    return token.decode("utf-8", "surrogatepass")
 
 
 def serialize_graph(g: Graph) -> str:

@@ -93,6 +93,19 @@ def test_analyze_parse_error_and_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_reads_undecodable_bytes(tmp_path, capsys):
+    # A Latin-1 comment is read; the same byte inside an id is a parse error.
+    path = tmp_path / "latin1.gr"
+    path.write_bytes(b"c caf\xe9\np edge 2 1\ne 1 2\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+    path.write_bytes(b"p edge 2 1\ne 1\xe9 2\n")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert err == "error: line 2: expected integer vertex id, got '1\\udce9'\n"
+
+
 def test_analyze_plain_format_uses_zero_based_ids(tmp_path, capsys):
     path = tmp_path / "star.txt"
     path.write_text("4 3\n0 1\n0 2\n0 3\n")

@@ -9,7 +9,7 @@ from conftest import (load_fixture, neighbours, path_graph, complete_graph, rand
                       uf_components)
 from strictchordal import Graph, connected_components, parse_graph, serialize_graph
 from strictchordal import graph as graph_module
-from strictchordal.errors import ParseError
+from strictchordal.errors import InternalError, ParseError
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 
@@ -45,26 +45,69 @@ def test_parse_comments_and_blank_lines():
         assert (g.n, g.m, neighbours(g)) == (2, 1, [[1], [0]])
 
 
-@pytest.mark.parametrize("text", [
-    "p edge 3 2\ne 1 1\n",          # self-loop
-    "p edge 3 2\ne 0 2\n",          # id below range (1-based)
-    "p edge 3 2\ne 1 4\n",          # id above range
-    "p edge 3 2\ne 1\n",            # wrong arity
-    "p edge 3\ne 1 2\n",            # bad header
-    "e 1 2\n",                      # edge before header
-    "p edge 3 2\nx 1 2\n",          # unknown line type
-    "3 2\n0 0\n",                   # plain self-loop
-    "3 2\n0 3\n",                   # plain out of range
-    "3 2\n0 1 2\n",                 # plain arity
-    "",                             # empty
-    "p edge 100000000000 0\n",      # vertex count above MAX_VERTICES
-    "100000000000 0\n",             # plain vertex count above MAX_VERTICES
-    "p edge 3 2\ne +1 2\n",        # signs other than '-'
-    "p edge 3 2\ne 1_0 2\n",       # digit separators
-])
-def test_parse_errors(text):
-    with pytest.raises(ParseError):
+_LONG = "1" * 5000  # beyond the interpreter's limit on digits for int()
+PARSE_ERRORS = [
+    ("p edge 3 2\ne 1 1\n", "line 2: self-loop at vertex 1"),
+    ("p edge 3 2\ne 0 2\n", "line 2: vertex id out of range 1..3"),  # ids are 1-based
+    ("p edge 3 2\ne 1 4\n", "line 2: vertex id out of range 1..3"),
+    ("p edge 3 2\ne 1\n", "line 2: edge line must be 'e <u> <v>'"),
+    ("p edge 3\ne 1 2\n", "line 1: problem line must be 'p edge <n> <m>'"),
+    ("e 1 2\n", "line 1: expected two whitespace-separated integers"),  # a plain file
+    ("p edge 3 2\nx 1 2\n", "line 2: unknown line type 'x'"),
+    ("3 2\n0 0\n", "line 2: self-loop at vertex 0"),
+    ("3 2\n0 3\n", "line 2: vertex id out of range 0..2"),
+    ("3 2\n0 1 2\n", "line 2: expected two whitespace-separated integers"),
+    ("", "empty input"),
+    ("p edge 100000000000 0\n", "line 1: vertex count exceeds 10000000"),
+    ("100000000000 0\n", "line 1: vertex count exceeds 10000000"),
+    ("p edge 3 2\ne +1 2\n", "line 2: expected integer vertex id, got '+1'"),
+    ("p edge 3 2\ne 1_0 2\n", "line 2: expected integer vertex id, got '1_0'"),
+    ("c only\n\nc comments\n", "missing problem line"),
+    ("c x\ne 1 2\n", "line 2: edge line before problem line"),
+    ("p edge 3 2\np edge 3 2\n", "line 2: duplicate problem line"),
+    # two faults: the earlier line is named, whichever check the scan failed first
+    ("p edge 3 2\ne 1 4\ne 1 1\n", "line 2: vertex id out of range 1..3"),
+    ("p edge 3 2\ne 1 x\ne 1\n", "line 2: expected integer vertex id, got 'x'"),
+    ("3 2\n0 1\n0 0\n0 1 2\n", "line 3: self-loop at vertex 0"),
+    # line numbers after CRLF, CR and form-feed breaks, blank lines among them
+    ("p edge 3 2\r\n\r\ne 1 2\r\ne 2 2\r\n", "line 4: self-loop at vertex 2"),
+    ("3 2\r0 1\r\r1 1\r", "line 4: self-loop at vertex 1"),
+    ("p edge 3 2\x0ce 1 2\x0c\x0ce 1 5\n", "line 4: vertex id out of range 1..3"),
+    ("c a\r\n\rp edge 3 2\r\n\x0c\r\ne 1 2\r\r\ne 3 3\n", "line 8: self-loop at vertex 3"),
+    (f"p edge 3 2\ne {_LONG} 2\n", f"line 2: expected integer vertex id, got '{_LONG}'"),
+    (f"p edge 3 {_LONG}\n", f"line 1: expected integer edge count, got '{_LONG}'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                         ids=[text if len(text) < 100 else f"{len(text)} chars"
+                              for text, _ in PARSE_ERRORS])
+def test_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
         parse_graph(text)
+    assert str(info.value) == message
+
+
+def test_parse_reads_non_ascii_only_inside_tokens():
+    # Non-ASCII whitespace and line breaks are token characters.
+    with pytest.raises(ParseError, match="^line 2: edge line must be 'e <u> <v>'$"):
+        parse_graph("p edge 3 2\ne 1\xa02\n")
+    g = parse_graph("c x\u2028e 1 2\np edge 2 1\ne 1 2\n")  # one comment line
+    assert (g.n, g.m) == (2, 1)
+    with pytest.raises(ParseError, match="^line 3: self-loop at vertex 1$"):
+        parse_graph("c x\u2028e 1 2\np edge 2 1\ne 1 1\n")
+    # A lone surrogate (an undecodable byte read with surrogateescape) is
+    # read in a comment and named in an id.
+    assert parse_graph("c \ud800 \udce9\np edge 2 1\ne 1 2\n").m == 1
+    with pytest.raises(ParseError) as info:
+        parse_graph("p edge 2 1\ne 1\ud800 2\n")
+    assert str(info.value) == "line 2: expected integer vertex id, got '1\\ud800'"
+
+
+def test_scan_and_fault_disagreeing_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(graph_module, "_scan", lambda text: None)
+    with pytest.raises(InternalError):
+        parse_graph(P3_TEXT)
 
 
 # Lines as the two formats write them, and junk, from a small token alphabet;
@@ -115,30 +158,29 @@ def test_scan_byte_classes_match_str_methods():
     assert graph_module._breaks(buf).tolist() == [len(f"a{c}a".splitlines()) == 2 for c in chars]
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_graph_texts())
-def test_scan_agrees_with_line_parser(text):
+def test_fault_names_the_first_faulty_line(text):
+    # The lines before the one named hold no fault: they parse, or lack only
+    # what a later line would have given (the header, any line at all).
     try:
-        expected = graph_module._parse_lines(text)
-    except ParseError:
-        expected = None
-    got = graph_module._scan(text)
-    if expected is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert ((got.n, got.m, neighbours(got), got.duplicate_edge_count, got.id_base)
-                == (expected.n, expected.m, neighbours(expected),
-                    expected.duplicate_edge_count, expected.id_base))
+        parse_graph(text)
+    except ParseError as exc:
+        if exc.line_no is not None:
+            before = "".join(text.splitlines(keepends=True)[:exc.line_no - 1])
+            try:
+                parse_graph(before)
+            except ParseError as earlier:
+                assert earlier.line_no is None
 
 
 # Digits, the format's words, signs, ASCII and Unicode whitespace and line
-# breaks, and decimal digits of other scripts (which int() reads but the
-# format does not allow).
+# breaks, decimal digits of other scripts (which int() reads but the format
+# does not allow) and a lone surrogate (which strict UTF-8 cannot encode).
 _PIECES = (list("0123456789") + ["p", "e", "c", "edge", "-", "+"]
            + [" ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
               "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u2029", "\u3000"]
-           + ["\u0663", "\u0967", "\uff15", "\U0001d7d9"])
+           + ["\u0663", "\u0967", "\uff15", "\U0001d7d9", "\ud800"])
 
 
 @settings(max_examples=1000, deadline=None)
