@@ -497,37 +497,38 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     """Distinct minimal vertex separators with multiplicities, as a
     ``Separators`` table.
 
-    Separators are grouped by their rows of the tree's classes (padded to
-    the widest such row, sorted and deduplicated), and each distinct row is
-    then spread into its vertices; the multiplicities sum to the number of
-    tree edges.  On a block duplicate graph every row is one class.
+    Separators are grouped by their rows of the tree's classes, sorted and
+    deduplicated, and each distinct row is then spread into its vertices;
+    the multiplicities sum to the number of tree edges.  On a block
+    duplicate graph every row is one class and one sort orders the rows.
     """
     n_edges = len(ct.edge_child)
     n_cliques = ct.n_cliques
     indptr = ct.clique_indptr
     lens = ct.sep_len[ct.edge_child]
-    starts = indptr[ct.edge_child + 1] - lens
-    total = int(lens.sum())
+    heads = np.cumsum(lens) - lens  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
     grp = np.repeat(np.arange(n_edges, dtype=np.int64), lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    vals = ct.clique_indices[starts[grp] + within]
-    # sort each edge's separator content; blocks stay contiguous, so the
-    # within-block slot indices are unchanged
-    vals = vals[np.lexsort((vals, grp))]
-    # one column at least: lexsort needs a key even when there are no edges
-    width = max(int(lens.max(initial=0)), 1)
-    mat = np.full((n_edges, width), -1, dtype=np.int64)
-    mat[grp, within] = vals
-    # distinct rows in lexicographic order (np.lexsort's last key is the
-    # primary one), numbered by a cumulative sum over row changes
-    by_row = np.lexsort(mat.T[::-1])
-    mat = mat[by_row]
-    fresh = np.ones(n_edges, dtype=bool)
-    fresh[1:] = (mat[1:] != mat[:-1]).any(axis=1)
-    rows = mat[fresh]
+    vals = ct.clique_indices[np.arange(len(grp)) + (indptr[ct.edge_child + 1] - lens - heads)[grp]]
+    vals = vals[np.lexsort((vals, grp))]  # each edge's row sorted in place
+    # rows in lexicographic order (a row before the longer rows it begins):
+    # by the first class, then run by run of equal prefixes by each later
+    # column over the rows reaching it, so work and memory follow the entries
+    order = np.argsort(vals[heads], kind="stable")
+    key = vals[heads[order]]
+    fresh = np.ones(n_edges, dtype=bool)  # a run of equal prefixes starts here
+    fresh[1:] = key[1:] != key[:-1]
+    at = np.arange(n_edges, dtype=np.int64)  # positions of the rows still read
+    for j in range(1, int(lens.max(initial=0))):
+        at = at[lens[order[at]] >= j]  # whole runs: a shorter row's run ended
+        rows = order[at]
+        key = np.where(lens[rows] > j, vals.take(heads[rows] + j, mode="clip"), -1)
+        by_key = np.lexsort((key, np.cumsum(fresh[at])))
+        order[at], key = rows[by_key], key[by_key]
+        fresh[at[1:]] |= key[1:] != key[:-1]
     sid = np.empty(n_edges, dtype=np.int64)
-    sid[by_row] = np.cumsum(fresh) - 1
-    n_seps = len(rows)
+    sid[order] = np.cumsum(fresh) - 1
+    firsts = order[fresh]  # one tree edge per distinct row, in row order
+    n_seps = len(firsts)
     # distinct (separator, clique) incidences from both edge endpoints
     pair_keys = (np.concatenate((sid, sid)) * n_cliques
                  + np.concatenate((ct.edge_child, ct.edge_parent)))
@@ -538,9 +539,8 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     # boundary cliques contain exactly one distinct separator
     leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
     # each row's classes spread into vertices, sorted within the row
-    row_ptr = np.zeros(n_seps + 1, dtype=np.int64)
-    np.cumsum((rows >= 0).sum(axis=1), out=row_ptr[1:])
-    vertices, ends = _spread(rows[rows >= 0], ct.class_ptr, ct.members)
+    classes, row_ptr = _spread(firsts, np.append(heads, len(vals)), vals)
+    vertices, ends = _spread(classes, ct.class_ptr, ct.members)
     row_ptr = ends[row_ptr]
     sizes = np.diff(row_ptr)
     vertices = vertices[np.lexsort((vertices, np.repeat(np.arange(n_seps), sizes)))]

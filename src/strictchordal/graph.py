@@ -197,12 +197,11 @@ def _tokens(buf):
     Tokens are cut at ASCII whitespace and lines at ASCII line breaks, as
     ``str.split`` and ``str.splitlines`` cut ASCII text; every byte from
     0x80 up is part of a token, so a token never splits a UTF-8 sequence.
+    One scan of the space-padded bytes finds the starts and ends, alternating.
     """
-    space = np.ones(len(buf) + 2, dtype=bool)  # padded with a space each side
+    space = np.ones(len(buf) + 2, dtype=bool)
     space[1:-1] = _spaces(buf)
-    starts = np.flatnonzero(space[:-2] > space[1:-1])
-    ends = np.flatnonzero(space[1:-1] < space[2:])
-    ends += 1
+    starts, ends = np.flatnonzero(space[1:] != space[:-1]).reshape(-1, 2).T
     del space
     # The first token after each line break opens a line, and so does token 0.
     head = np.zeros(len(starts) + 1, dtype=bool)
@@ -211,35 +210,44 @@ def _tokens(buf):
     return starts, ends, head[:-1]
 
 
+_BLOCK = 2**15  # ids per block of ``_scan_ints``, whose arrays then stay in L2 cache
+
+
 def _scan_ints(buf, starts, ends):
     """The tokens ``buf[starts[i]:ends[i]]`` as int64 values, or None if one
     is not ``-?[0-9]+`` or is beyond 18 digits once leading zeros are dropped
-    (too large for a vertex id).  Overwrites ``starts`` and ``ends``."""
+    (too large for a vertex id).  Overwrites ``starts`` and ``ends``.
+
+    Ids are read right-aligned, ``_BLOCK`` at a time: where the block's
+    widest id has w digits, pass k reads byte ``ends[i] - w + k`` of id i (0
+    before id i starts).  The digits are checked once, by their maximum.
+    """
     value = np.zeros(len(starts), dtype=np.int64)
-    if len(starts) == 0:
-        return value
     neg = buf[starts] == ord("-")
     starts += neg
-    for i in np.flatnonzero(ends - starts > 18):
-        if (buf[starts[i]:ends[i] - 18] != ord("0")).any():
+    width = np.subtract(ends, starts, out=starts)  # starts is not read again
+    for i in np.flatnonzero(width > 18):
+        if (buf[ends[i] - width[i]:ends[i] - 18] != ord("0")).any():
             return None
-        starts[i] = ends[i] - 18
-    width = ends
-    width -= starts
-    if width.min() < 1:
+        width[i] = 18
+    if width.min(initial=1) < 1:
         return None
-    # starts[i] + k is the k-th digit of token i while k < width[i]; later
-    # positions are clipped to stay inside buf and their bytes ignored.
-    pos, last = starts, len(buf) - 1
-    for k in range(int(width.max())):
-        np.minimum(pos, last, out=pos)
-        digit = buf[pos] - np.uint8(ord("0"))  # wraps above 9 for non-digits
-        live = width > k
-        if (live & (digit > 9)).any():
-            return None
-        np.multiply(value, 10, out=value, where=live)
-        np.add(value, digit, out=value, where=live)
-        pos += 1
+    top = np.zeros(min(len(value), _BLOCK), dtype=np.uint8)  # largest digit per slot
+    for lo in range(0, len(value), _BLOCK):
+        val, pos, wid = value[lo:lo + _BLOCK], ends[lo:lo + _BLOCK], width[lo:lo + _BLOCK]
+        dig, most = np.empty(len(val), dtype=np.uint8), top[:len(val)]
+        w = int(wid.max())
+        pos -= w  # ends is not read again
+        for k in range(w):
+            np.take(buf, pos, mode="clip", out=dig)
+            dig -= np.uint8(ord("0"))  # wraps above 9 for non-digits
+            np.putmask(dig, wid < w - k, 0)
+            np.maximum(most, dig, out=most)
+            val *= 10
+            val += dig
+            pos += 1
+    if top.max(initial=0) > 9:
+        return None
     np.negative(value, out=value, where=neg)
     return value
 
@@ -329,12 +337,15 @@ def connected_components(g: Graph, removed=()):
     assigned in increasing order of the smallest vertex they contain; the
     labelling itself is breadth-first over slices of the CSR arrays, as
     ``mcs_order`` reads them.  ``count`` is 0 iff every vertex was removed.
+    An id in ``removed`` outside ``0..n-1`` raises ValueError.
     """
     indptr, indices = g.csr()
     flat = indices.tolist()
     bounds = indptr.tolist()
     done = [False] * g.n  # labelled or removed
     for v in removed:
+        if not 0 <= v < g.n:
+            raise ValueError(f"removed vertex id out of range 0..{g.n - 1}: {v}")
         done[v] = True
     labels = [-1] * g.n
     count = 0

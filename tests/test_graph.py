@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (load_fixture, neighbours, path_graph, complete_graph, rand
 from strictchordal import Graph, connected_components, parse_graph, serialize_graph
 from strictchordal import graph as graph_module
 from strictchordal.errors import InternalError, ParseError
+from strictchordal.generator import GenParams, random_strictly_chordal
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 
@@ -192,6 +194,95 @@ def test_parse_raises_only_parse_error(text):
         pass
 
 
+def _id_token(rng, value):
+    """``value`` written 1 to 25 characters wide: zero-padded, and a zero
+    now and then as ``-0``."""
+    if value == 0 and rng.random() < 0.3:
+        return "-" + "0" * rng.randint(1, 24)
+    digits = str(value)
+    return digits.zfill(rng.randint(len(digits), 25))
+
+
+def test_scan_reads_ids_as_int_does():
+    # ids 1 to 25 characters wide mixed in one file, many with leading
+    # zeros past 18 digits; the first id sits right after a short header
+    # (its digit window starts before the text), and the last id ends the
+    # text in about half the files
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 10, 1000, 10**6])
+        pairs = [rng.sample(range(min(n, 4) if rng.random() < 0.2 else n), 2)
+                 for _ in range(rng.randint(1, 300))]
+        rows = [[_id_token(rng, u), _id_token(rng, v)] for u, v in pairs]
+        text = f"{n} {len(rows)}\n" + "\n".join(map(" ".join, rows))
+        text += rng.choice(["", "\n"])
+        expected = Graph(n, [(int(a), int(b)) for a, b in rows], id_base=0)
+        g = parse_graph(text)
+        assert (g.n, g.m, g.duplicate_edge_count) == (n, expected.m, expected.duplicate_edge_count)
+        assert all(np.array_equal(x, y) for x, y in zip(g.csr(), expected.csr()))
+        # a bare sign in place of one id is named on its line
+        line = rng.randrange(len(rows))
+        rows[line][rng.randrange(2)] = "-"
+        text = f"{n} {len(rows)}\n" + "\n".join(map(" ".join, rows))
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {line + 2}: expected integer value, got '-'"
+
+
+def test_scan_ints_matches_int_up_to_the_digit_limit():
+    rng = random.Random(3)
+    tokens = []
+    for _ in range(5000):
+        digits = str(rng.randrange(10 ** rng.randint(1, 18)))
+        tokens.append(rng.choice(["", "-"]) + digits.zfill(rng.randint(len(digits), 25)))
+    buf = np.frombuffer(" ".join(tokens).encode(), dtype=np.uint8)
+    ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+    starts = ends - [len(t) for t in tokens]
+    assert graph_module._scan_ints(buf, starts, ends).tolist() == list(map(int, tokens))
+    # one 19-digit value or one bad byte, anywhere, rejects them all
+    for bad in ("1" + "0" * 18, "-" + "9" * 19, "1-2", "12a", "-", "+1"):
+        i = rng.randrange(len(tokens))
+        text = " ".join(tokens[:i] + [bad] + tokens[i + 1:])
+        buf = np.frombuffer(text.encode(), dtype=np.uint8)
+        lens = [len(t) for t in tokens[:i] + [bad] + tokens[i + 1:]]
+        ends = np.cumsum([k + 1 for k in lens]) - 1
+        assert graph_module._scan_ints(buf, ends - lens, ends) is None, bad
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1:", "expected integer value, got '1:'"),  # 1 * 10 + (":" - "0") = 20 if unchecked
+    ("-", "expected integer value, got '-'"),
+    ("0" * 19 + "100", "vertex id out of range 0..99"),
+])
+@pytest.mark.parametrize("where", ["u", "v"])
+def test_fault_in_a_later_block_of_ids_is_named(bad, message, where):
+    # the ids are read u's first, then v's, in blocks of _BLOCK; the last
+    # edge line's u and v both lie beyond the first block
+    m = graph_module._BLOCK + 1000
+    rows = [["0", "1"] if i % 2 else ["2", "3"] for i in range(m)]
+    rows[-1][where == "v"] = bad
+    text = f"100 {m}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == f"line {m + 1}: {message}"
+
+
+def test_parse_peak_memory_stays_within_ten_times_the_text():
+    # the scan's per-token arrays are its temporaries; keeping them alive
+    # past their use (or a copy of the bytes) shows here
+    text = serialize_graph(random_strictly_chordal(
+        GenParams(seed=1, target_n=3200, max_block_size=30, max_twins=2)))
+    assert 700_000 < len(text) < 900_000
+    parse_graph(text)
+    tracemalloc.start()
+    try:
+        parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(text), peak / len(text)
+
+
 def test_duplicate_edges_collapsed():
     g = parse_graph("p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 1 2\n")
     assert g.m == 2
@@ -257,6 +348,14 @@ def test_component_ids_follow_smallest_vertex():
     assert count == 3
     # components discovered in order of their smallest vertex: {0}, {1,2}, {3,4}
     assert labels == [0, 1, 1, 2, 2, -1]
+
+
+def test_components_reject_removed_ids_out_of_range():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for v in (-2, -1, 3):
+        with pytest.raises(ValueError, match=f"out of range 0..2: {v}$"):
+            connected_components(g, [v])
+    assert connected_components(g, [1]) == (2, [0, -1, 1])
 
 
 def test_is_connected():

@@ -169,15 +169,19 @@ def test_overlap_witnesses_through_twins_are_valid():
     assert rejected >= 100
 
 
-def test_separator_memory_stays_small_beside_one_wide_separator():
-    # two 501-vertex cliques sharing 500 twins, and a path hanging off one
-    # of them: 20,002 tree edges, one separator of 500 vertices.  Rows padded
-    # to the widest separator of g would take about 170 MB; on the classes
-    # the widest row is one class
+def _wide_separator_edges():
+    # two 501-vertex cliques sharing 500 vertices, and a path hanging off one
+    # of them: 20,002 tree edges, one separator of 500 vertices
     shared = list(combinations(range(500), 2))
     edges = shared + [(v, 500) for v in range(500)] + [(v, 501) for v in range(500)]
-    edges += [(v, v + 1) for v in range(501, 20_502)]
-    g = Graph(20_503, edges)
+    return edges + [(v, v + 1) for v in range(501, 20_502)]
+
+
+def test_separator_memory_stays_small_beside_one_wide_separator():
+    # the 500 shared vertices are twins.  Rows padded to the widest
+    # separator of g would take about 170 MB; on the classes the widest row
+    # is one class
+    g = Graph(20_503, _wide_separator_edges())
     tracemalloc.start()
     try:
         report = analyze(g)
@@ -186,6 +190,24 @@ def test_separator_memory_stays_small_beside_one_wide_separator():
         tracemalloc.stop()
     assert report.separators.sizes.max() == 500
     assert len(report.clique_tree.edge_child) == 20_002
+    assert peak < 40 * 2**20, peak / 2**20
+
+
+def test_separator_memory_stays_small_beside_one_wide_row_of_classes():
+    # a pendant vertex on each shared vertex leaves no twins among them, so
+    # the 500-vertex separator is a row of 500 classes among 20,502 rows of
+    # one class.  Rows padded to the widest would take about 170 MB
+    edges = _wide_separator_edges() + [(v, 20_503 + v) for v in range(500)]
+    g = Graph(21_003, edges)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotStrictlyChordalError) as info:
+            analyze(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.vertex == 0
+    assert sorted(map(len, info.value.separators)) == [1, 500]
     assert peak < 40 * 2**20, peak / 2**20
 
 
