@@ -11,7 +11,6 @@ from .chordal import (
     SeparatorInfo,
     Separators,
     build_clique_tree,
-    is_mcs_order,
     mcs_order,
     minimal_vertex_separators,
     verify_peo,
@@ -35,7 +34,6 @@ from .oracle import (
     restricted_scattering,
     restricted_toughness,
 )
-from .recognition import border_mvs_exists
 from .vulnerability import (
     CASE_COMPLETE,
     CASE_SINGLE_MVS,
@@ -76,13 +74,11 @@ __all__ = [
     "VulnerabilityReport",
     "add_true_twins",
     "analyze",
-    "border_mvs_exists",
     "brute_force_scattering",
     "brute_force_toughness",
     "build_clique_tree",
     "classify",
     "connected_components",
-    "is_mcs_order",
     "mcs_order",
     "minimal_vertex_separators",
     "parse_graph",

@@ -119,43 +119,6 @@ def _orient(g: Graph, order):
     return pos, tails, heads, sizes, follower, (u, fu, w)
 
 
-def is_mcs_order(g: Graph, order) -> bool:
-    """True iff some maximum-cardinality-search run visits reversed(order).
-
-    Replays the search: each visited vertex must carry the maximum weight
-    (visited-neighbour count) among unvisited vertices at its turn.  The
-    clique-tree construction is only correct for such orderings; a perfect
-    elimination ordering that no MCS run produces can group cliques wrongly.
-    """
-    n = g.n
-    indptr, indices = g.csr()
-    flat = indices.tolist()
-    bounds = indptr.tolist()
-    weight = [0] * n
-    unvisited_at = [0] * (n + 1)  # unvisited vertices per weight value
-    unvisited_at[0] = n
-    maxw = 0
-    visited = [False] * n
-    for v in reversed(order):
-        while maxw > 0 and unvisited_at[maxw] == 0:
-            maxw -= 1
-        wv = weight[v]
-        if wv != maxw or visited[v]:
-            return False
-        visited[v] = True
-        unvisited_at[wv] -= 1
-        for u in flat[bounds[v]:bounds[v + 1]]:
-            if not visited[u]:
-                wu = weight[u]
-                unvisited_at[wu] -= 1
-                wu += 1
-                weight[u] = wu
-                unvisited_at[wu] += 1
-                if wu > maxw:
-                    maxw = wu
-    return True
-
-
 def verify_peo(g: Graph, order) -> bool:
     """True iff ``order`` is a perfect elimination ordering of g; raises
     ValueError if it is not a permutation of the vertices."""

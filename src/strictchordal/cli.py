@@ -298,6 +298,10 @@ def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ParseError("--sizes needs a comma-separated list of target sizes")
+    # GenParams checks each size, so a bad one stops the run before any output
+    runs = [generator.GenParams(seed=args.seed + i, target_n=size,
+                                max_block_size=args.max_block, max_twins=args.max_twins)
+            for i, size in enumerate(sizes)]
     # warm up interpreter and numpy before timing
     warm = generator.random_strictly_chordal(
         generator.GenParams(seed=args.seed, target_n=2000,
@@ -307,10 +311,7 @@ def cmd_bench(args) -> int:
           f"{'us_per_nm':>10} {'parse_s':>9} {'ratio':>6} "
           + " ".join(f"{stage:>13}" for stage in BENCH_STAGES))
     prev = None
-    for i, size in enumerate(sizes):
-        params = generator.GenParams(seed=args.seed + i, target_n=size,
-                                     max_block_size=args.max_block,
-                                     max_twins=args.max_twins)
+    for size, params in zip(sizes, runs):
         g = generator.random_strictly_chordal(params)
         text = serialize_graph(g)
         best = best_parse = float("inf")

@@ -61,14 +61,18 @@ class Graph:
         np.multiply(v, n, out=keys[half:])
         keys[half:] += u
         keys.sort()
-        fresh = np.ones(len(keys), dtype=bool)
-        fresh[1:] = keys[1:] != keys[:-1]
-        keys = keys[fresh]
-        indices = keys % n
-        keys //= n  # the tail of each entry
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if not fresh.all():
+            keys = keys[fresh]
+        del fresh
+        tails = keys // n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-        self._store(indptr, indices, half - len(keys) // 2, id_base)
+        np.bincount(tails, minlength=n).cumsum(out=indptr[1:])
+        tails *= n
+        keys -= tails  # the head of each entry
+        self._store(indptr, keys, half - len(keys) // 2, id_base)
 
     @classmethod
     def _from_csr(cls, indptr, indices, id_base: int) -> Graph:
@@ -121,20 +125,28 @@ def parse_graph(text: str) -> Graph:
     return _scan(text) or _fault(text)
 
 
+_BLOCK = 2**15  # ids per block of the gather in ``_scan`` and of ``_scan_ints``: L2-sized
+
+
 def _scan(text: str) -> Graph | None:
     """Graph of ``text``, or None where ``_fault`` raises: its checks run as
     array masks over the tokens of the text's UTF-8 bytes, which die before
     the graph is built (held longer, they cost repeated calls fresh pages).
     """
     buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    starts, ends, head = _tokens(buf)
-    if len(starts) == 0:
+    bounds, head = _tokens(buf)
+    if len(bounds) == 0:
         return None
-    first = np.flatnonzero(head)  # first token of each non-blank line
-    count = np.diff(np.append(first, len(head)))
+    first = head.nonzero()[0]  # first token of each non-blank line
     del head
-    lead = buf[starts[first]]
-    single = ends[first] - starts[first] == 1
+    starts, ends = bounds.T
+    at = starts[first]
+    lead = buf[at]
+    single = np.subtract(ends[first], at, out=at) == 1
+    del at
+    count = np.empty_like(first)  # tokens per line
+    np.subtract(first[1:], first[:-1], out=count[:-1])
+    count[-1] = len(bounds) - first[-1]
 
     def token(i):
         return buf[starts[i]:ends[i]].tobytes()
@@ -142,16 +154,19 @@ def _scan(text: str) -> Graph | None:
     if single[0] and int(lead[0]) in b"cp":
         # DIMACS-like: past the comment lines, one p line, then e lines
         body = ~(single & (lead == ord("c")))
-        first, count, lead, single = first[body], count[body], lead[body], single[body]
-        if not (len(first) and single[0] and lead[0] == ord("p") and count[0] == 4
-                and token(first[0] + 1) == b"edge"
-                and (single[1:] & (lead[1:] == ord("e")) & (count[1:] == 3)).all()):
+        p = int(body.argmax())  # the first line that is not a comment
+        edge = single & (lead == ord("e")) & (count == 3)
+        if not (body[p] and single[p] and lead[p] == ord("p") and count[p] == 4
+                and token(first[p] + 1) == b"edge" and (edge | ~body)[p + 1:].all()):
             return None
-        header, ids, base = first[0] + 2, first[1:] + 1, 1
+        body[:p + 1] = False
+        header, line, base = first[p] + 2, first[body], 1
+        line += 1
+        del body, edge
     else:  # plain: a header line and edge lines of two numbers each
         if not (count == 2).all():
             return None
-        header, ids, base = first[0], first[1:], 0
+        header, line, base = first[0], first[1:], 0
     del first, count, lead, single
     try:
         n = _parse_int(token(header), "vertex count", 0)
@@ -160,23 +175,31 @@ def _scan(text: str) -> Graph | None:
         return None
     if not 0 <= n <= MAX_VERTICES:
         return None
-    ids = np.concatenate((ids, ids + 1))
-    id_starts, id_ends = starts[ids], ends[ids]
-    del starts, ends, ids
-    values = _scan_ints(buf, id_starts, id_ends)
-    del buf, id_starts, id_ends
+    # Edge line j's ids are tokens t and t + 1, whose four bounds lie side by
+    # side from bounds[t, 0]; read as one 32-byte item, they go to item j of
+    # the same memory ([start, end] of u, then of v).  Each line has two tokens
+    # or more, so t >= 2j + 2: item j ends before the rows of lines j and on,
+    # and a block, gathered before it is written, overwrites no row yet to read.
+    rows = np.ndarray(len(bounds) - 1, "V32", bounds, strides=bounds.strides[:1])
+    pairs = np.ndarray(len(line), "V32", bounds)
+    for lo in range(0, len(line), _BLOCK):
+        pairs[lo:lo + _BLOCK] = rows[line[lo:lo + _BLOCK]]
+    ids = pairs.view(np.int64).reshape(-1, 2)
+    del bounds, starts, ends, rows, pairs, line
+    values = _scan_ints(buf, ids[:, 0], ids[:, 1])
+    del buf, ids
     if values is None:
         return None
     values -= base
-    u, v = values[: len(values) // 2], values[len(values) // 2:]
-    if ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)).any():
+    u, v = values[0::2], values[1::2]
+    if len(values) and (values.min() < 0 or values.max() >= n or (u == v).any()):
         return None
     return Graph._from_arrays(n, u, v, base)
 
 
 def _between(buf, lo, hi):
     """Mask of the bytes in lo..hi (uint8 arithmetic wraps the rest above)."""
-    return buf - np.uint8(lo) <= hi - lo
+    return buf - np.uint8(lo) <= np.uint8(hi - lo)
 
 
 def _spaces(buf):
@@ -190,33 +213,55 @@ def _breaks(buf):
 
 
 def _tokens(buf):
-    """``(starts, ends, head)`` of the tokens of the bytes ``buf``: token i
-    is ``buf[starts[i]:ends[i]]``, and ``head[i]`` is True when it is the
-    first token of its line.
+    """``(bounds, head)`` of the tokens of the bytes ``buf``: token i is
+    ``buf[bounds[i, 0]:bounds[i, 1]]``, and ``head[i]`` is True when it is
+    the first token of its line.
 
     Tokens are cut at ASCII whitespace and lines at ASCII line breaks, as
     ``str.split`` and ``str.splitlines`` cut ASCII text; every byte from
     0x80 up is part of a token, so a token never splits a UTF-8 sequence.
     One scan of the space-padded bytes finds the starts and ends, alternating.
+
+    Token 0 opens a line, and token i > 0 does iff the gap of whitespace
+    ``buf[ends[i - 1]:starts[i]]`` before it (``starts, ends = bounds.T``)
+    holds a line break.  Only the first and last byte of each gap are read,
+    which settles every gap of one or two bytes (a CRLF, a trailing space, an
+    indent); a longer gap with no break at either end is settled by a search
+    over the break positions.  Where every gap is one byte, as counted from
+    the whitespace, the last byte is the first and is not read again.
     """
-    space = np.ones(len(buf) + 2, dtype=bool)
+    space = np.empty(len(buf) + 2, dtype=bool)
+    space[0] = space[-1] = True
     space[1:-1] = _spaces(buf)
-    starts, ends = np.flatnonzero(space[1:] != space[:-1]).reshape(-1, 2).T
+    whitespace = np.count_nonzero(space) - 2
+    edges = space[1:] != space[:-1]
     del space
-    # The first token after each line break opens a line, and so does token 0.
-    head = np.zeros(len(starts) + 1, dtype=bool)
-    head[np.searchsorted(starts, np.flatnonzero(_breaks(buf)))] = True
-    head[0] = True
-    return starts, ends, head[:-1]
-
-
-_BLOCK = 2**15  # ids per block of ``_scan_ints``, whose arrays then stay in L2 cache
+    bounds = edges.nonzero()[0].reshape(-1, 2)
+    del edges
+    starts, ends = bounds.T
+    head = np.empty(len(bounds), dtype=bool)
+    head[:1] = True
+    head[1:] = _breaks(buf[ends[:-1]])  # the first byte of each gap
+    # whitespace outside the gaps: before the first token and after the last
+    outside = len(buf) - ends[-1] + starts[0] if len(bounds) else 0
+    if whitespace - outside > len(bounds) - 1:  # some gap has two bytes or more
+        last = starts[1:] - 1
+        head[1:] |= _breaks(buf[last])
+        wide = np.subtract(last, ends[:-1], out=last) > 1  # three bytes or more
+        del last
+        wide &= ~head[1:]
+        if wide.any():
+            gap = wide.nonzero()[0]
+            breaks = _breaks(buf).nonzero()[0]
+            head[gap + 1] = (breaks.searchsorted(starts[gap + 1])
+                             > breaks.searchsorted(ends[gap]))
+    return bounds, head
 
 
 def _scan_ints(buf, starts, ends):
     """The tokens ``buf[starts[i]:ends[i]]`` as int64 values, or None if one
     is not ``-?[0-9]+`` or is beyond 18 digits once leading zeros are dropped
-    (too large for a vertex id).  Overwrites ``starts`` and ``ends``.
+    (too large for a vertex id).  Overwrites ``starts``.
 
     Ids are read right-aligned, ``_BLOCK`` at a time: where the block's
     widest id has w digits, pass k reads byte ``ends[i] - w + k`` of id i (0
@@ -226,26 +271,30 @@ def _scan_ints(buf, starts, ends):
     neg = buf[starts] == ord("-")
     starts += neg
     width = np.subtract(ends, starts, out=starts)  # starts is not read again
-    for i in np.flatnonzero(width > 18):
+    for i in (width > 18).nonzero()[0]:
         if (buf[ends[i] - width[i]:ends[i] - 18] != ord("0")).any():
             return None
         width[i] = 18
     if width.min(initial=1) < 1:
         return None
-    top = np.zeros(min(len(value), _BLOCK), dtype=np.uint8)  # largest digit per slot
+    block = min(len(value), _BLOCK)
+    top = np.zeros(block, dtype=np.uint8)  # largest digit per slot
+    pos = np.empty(block, dtype=np.int64)
+    dig, lag = np.empty(block, dtype=np.uint8), np.empty(block, dtype=np.uint8)
     for lo in range(0, len(value), _BLOCK):
-        val, pos, wid = value[lo:lo + _BLOCK], ends[lo:lo + _BLOCK], width[lo:lo + _BLOCK]
-        dig, most = np.empty(len(val), dtype=np.uint8), top[:len(val)]
+        val, wid = value[lo:lo + _BLOCK], width[lo:lo + _BLOCK]
+        at, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
         w = int(wid.max())
-        pos -= w  # ends is not read again
+        np.subtract(ends[lo:lo + _BLOCK], w, out=at)
+        np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts
         for k in range(w):
-            np.take(buf, pos, mode="clip", out=dig)
-            dig -= np.uint8(ord("0"))  # wraps above 9 for non-digits
-            np.putmask(dig, wid < w - k, 0)
-            np.maximum(most, dig, out=most)
+            buf.take(at, mode="clip", out=digit)
+            digit -= np.uint8(ord("0"))  # wraps above 9 for non-digits
+            np.putmask(digit, skip > k, 0)
+            np.maximum(most, digit, out=most)
             val *= 10
-            val += dig
-            pos += 1
+            val += digit
+            at += 1
     if top.max(initial=0) > 9:
         return None
     np.negative(value, out=value, where=neg)

@@ -4,7 +4,7 @@ A chordal graph is strictly chordal iff its distinct minimal vertex
 separators are pairwise disjoint, so recognition counts how many separators
 each vertex lies in.  In that class the clique/separator incidence structure
 is a tree, and every graph with at least two separators has a border
-separator; ``border_mvs_exists`` checks the latter as an invariant.
+separator.
 """
 
 from __future__ import annotations
@@ -32,15 +32,3 @@ def separator_overlap(seps: Separators):
     at = np.flatnonzero(owner > first[vertices])[0]
     v = int(vertices[at])
     return v, seps.row(first[v]), seps.row(owner[at])
-
-
-def border_mvs_exists(seps: Separators) -> bool:
-    """True iff some separator has exactly multiplicity-many boundary
-    cliques.
-
-    The boundary cliques of a separator are its leaves in the incidence
-    tree, so this is the paper's border separator.  Guaranteed for every
-    strictly chordal graph with at least two separators; exposed as a sanity
-    invariant rather than a branch.
-    """
-    return bool((seps.boundary == seps.mult).any())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from strictchordal import Graph, parse_graph
+from strictchordal import Graph, Separators, parse_graph
 from strictchordal.generator import GenParams, random_strictly_chordal
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -140,6 +140,56 @@ def brute_is_peo(g: Graph, order) -> bool:
             if b not in adj[a]:
                 return False
     return True
+
+
+def is_mcs_order(g: Graph, order) -> bool:
+    """True iff some maximum-cardinality-search run visits reversed(order).
+
+    Checks ``mcs_order``'s output by replaying the search: each visited
+    vertex must carry the maximum weight (visited-neighbour count) among
+    unvisited vertices at its turn.  The clique-tree construction is only
+    correct for such orderings; a perfect elimination ordering that no MCS
+    run produces can group cliques wrongly.
+    """
+    n = g.n
+    indptr, indices = g.csr()
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    weight = [0] * n
+    unvisited_at = [0] * (n + 1)  # unvisited vertices per weight value
+    unvisited_at[0] = n
+    maxw = 0
+    visited = [False] * n
+    for v in reversed(order):
+        while maxw > 0 and unvisited_at[maxw] == 0:
+            maxw -= 1
+        wv = weight[v]
+        if wv != maxw or visited[v]:
+            return False
+        visited[v] = True
+        unvisited_at[wv] -= 1
+        for u in flat[bounds[v]:bounds[v + 1]]:
+            if not visited[u]:
+                wu = weight[u]
+                unvisited_at[wu] -= 1
+                wu += 1
+                weight[u] = wu
+                unvisited_at[wu] += 1
+                if wu > maxw:
+                    maxw = wu
+    return True
+
+
+def border_mvs_exists(seps: Separators) -> bool:
+    """True iff some separator has exactly multiplicity-many boundary
+    cliques.
+
+    The boundary cliques of a separator are its leaves in the incidence
+    tree, so this is the paper's border separator.  Guaranteed for every
+    strictly chordal graph with at least two separators; checked as an
+    invariant, not used by the analysis.
+    """
+    return bool((seps.boundary == seps.mult).any())
 
 
 def corpus_params(seed: int) -> GenParams:

@@ -9,11 +9,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import UnionFind, load_fixture
+from conftest import UnionFind, border_mvs_exists, load_fixture
 from strictchordal import (
     GenParams,
     analyze,
-    border_mvs_exists,
     brute_force_scattering,
     brute_force_toughness,
     build_clique_tree,

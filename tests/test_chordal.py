@@ -16,6 +16,7 @@ from conftest import (
     dart,
     diamond,
     gem,
+    is_mcs_order,
     load_fixture,
     neighbours,
     path_graph,
@@ -26,7 +27,6 @@ from strictchordal import (
     Graph,
     build_clique_tree,
     connected_components,
-    is_mcs_order,
     mcs_order,
     minimal_vertex_separators,
     verify_peo,

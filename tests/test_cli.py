@@ -304,6 +304,14 @@ def test_bench_smoke(capsys):
     assert "time_s" in lines[0]
 
 
+@pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
+def test_bench_rejects_a_bad_size_before_any_output(capsys, sizes):
+    code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: target_n must be between 2 and 10000000\n"
+
+
 def test_bench_per_element_cost_stable_across_runs(capsys):
     costs = []
     for _ in range(2):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     UnionFind,
+    border_mvs_exists,
     dart,
     diamond,
     double_star,
@@ -12,7 +13,6 @@ from conftest import (
     star_graph,
 )
 from strictchordal import (
-    border_mvs_exists,
     build_clique_tree,
     minimal_vertex_separators,
 )
