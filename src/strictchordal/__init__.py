@@ -8,7 +8,6 @@ reproducible random generator for validating the fast path.
 
 from .chordal import (
     CliqueTree,
-    SeparatorInfo,
     Separators,
     build_clique_tree,
     mcs_order,
@@ -25,7 +24,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .generator import GenParams, add_true_twins, random_block_graph, random_strictly_chordal
+from .generator import GenParams, random_strictly_chordal
 from .graph import Graph, connected_components, parse_graph, serialize_graph
 from .oracle import (
     OracleResult,
@@ -45,7 +44,6 @@ from .vulnerability import (
     classify,
     scattering_set_type_b,
     scattering_tough_ge_1,
-    scattering_type_a,
     toughness,
 )
 
@@ -68,11 +66,9 @@ __all__ = [
     "NotStrictlyChordalError",
     "OracleResult",
     "ParseError",
-    "SeparatorInfo",
     "Separators",
     "TooLargeError",
     "VulnerabilityReport",
-    "add_true_twins",
     "analyze",
     "brute_force_scattering",
     "brute_force_toughness",
@@ -82,13 +78,11 @@ __all__ = [
     "mcs_order",
     "minimal_vertex_separators",
     "parse_graph",
-    "random_block_graph",
     "random_strictly_chordal",
     "restricted_scattering",
     "restricted_toughness",
     "scattering_set_type_b",
     "scattering_tough_ge_1",
-    "scattering_type_a",
     "serialize_graph",
     "toughness",
     "verify_peo",

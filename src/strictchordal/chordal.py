@@ -17,9 +17,7 @@ when the classes are large (as in block graphs with true twins added).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -287,18 +285,6 @@ class CliqueTree:
         classes = self.clique_indices[end - self.sep_len[child]:end]
         return _spread(classes, self.class_ptr, self.members)[0]
 
-    @cached_property
-    def cliques(self) -> list[frozenset]:
-        return [frozenset(self.clique(q).tolist()) for q in range(self.n_cliques)]
-
-    @property
-    def tree_edges(self) -> list[tuple[int, int, frozenset]]:
-        return [
-            (int(self.edge_child[e]), int(self.edge_parent[e]),
-             frozenset(self.separator_slice(e).tolist()))
-            for e in range(len(self.edge_child))
-        ]
-
 
 def _spread(xs, class_ptr, members):
     """The classes of the vertices ``xs``, concatenated, and the prefix sums
@@ -388,27 +374,6 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     )
 
 
-@dataclass(frozen=True)
-class SeparatorInfo:
-    """One distinct minimal vertex separator of a chordal graph, as the
-    entry ``seps[i]`` of a ``Separators`` table builds it.
-
-    ``multiplicity`` counts the clique-tree edges labelled with it, and
-    ``adjacent_cliques`` lists, ascending, the cliques incident to those
-    edges (for strictly chordal graphs: all cliques containing it).  They
-    are ids of the clique tree the separators were read from: for
-    ``analyze``, ``VulnerabilityReport.clique_tree``, the tree
-    ``--dump-cliquetree`` prints.  ``boundary_count`` is how many adjacent
-    cliques are boundary cliques, detected as cliques incident to exactly
-    one distinct separator.
-    """
-
-    vertices: frozenset
-    multiplicity: int
-    adjacent_cliques: tuple
-    boundary_count: int
-
-
 @dataclass(frozen=True, eq=False)
 class Separators:
     """The distinct minimal vertex separators of a clique tree, as arrays.
@@ -423,9 +388,6 @@ class Separators:
     clique/separator incidences are the pairs ``(pair_sep[j],
     pair_clique[j])``, sorted by separator and then clique; ``clique_sizes``
     holds the sizes (in vertices) of the tree's ``n_cliques`` cliques.
-
-    It is also a read-only sequence: ``len(seps)``, ``seps[s]`` and
-    iteration give ``SeparatorInfo`` entries, built on each access.
     """
 
     n_cliques: int
@@ -440,16 +402,6 @@ class Separators:
 
     def __len__(self) -> int:
         return len(self.mult)
-
-    def __getitem__(self, s) -> SeparatorInfo:
-        s = range(len(self))[operator.index(s)]
-        lo, hi = np.searchsorted(self.pair_sep, (s, s + 1)).tolist()
-        return SeparatorInfo(
-            vertices=self.row(s),
-            multiplicity=int(self.mult[s]),
-            adjacent_cliques=tuple(self.pair_clique[lo:hi].tolist()),
-            boundary_count=int(self.boundary[s]),
-        )
 
     def row(self, s: int) -> frozenset:
         """Separator s as a frozenset of Python ints."""

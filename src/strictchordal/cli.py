@@ -1,7 +1,8 @@
 """Command-line interface: analyze, oracle, check, gen, bench.
 
 Exit codes: 0 success (complete graphs included), 2 unreadable or malformed
-input, bad option values and oversized oracle instances, 3 input outside the class (not
+input, bad option values, oversized oracle instances and output files that
+cannot be written, 3 input outside the class (not
 connected / not chordal / not strictly chordal, witness on stderr),
 4 oracle disagreement found by ``check``.  stdout carries only the report;
 diagnostics and debug dumps go to stderr.
@@ -125,8 +126,8 @@ def _dump_structures(g: Graph, report, dump_ct: bool, dump_cb: bool) -> None:
         for q in range(ct.n_cliques):
             members = " ".join(str(v + base) for v in sorted(ct.clique(q).tolist()))
             print(f"clique {q}: {members}", file=sys.stderr)
-        for c, p, sep in ct.tree_edges:
-            members = " ".join(str(v + base) for v in sorted(sep))
+        for e, (c, p) in enumerate(zip(ct.edge_child.tolist(), ct.edge_parent.tolist())):
+            members = " ".join(str(v + base) for v in sorted(ct.separator_slice(e).tolist()))
             print(f"edge {c} - {p} separator: {members}", file=sys.stderr)
     if dump_cb:
         # Graphviz-style: clique nodes q*, separator nodes s* (internal ids)
@@ -195,8 +196,8 @@ def cmd_oracle(args) -> int:
     doc = {"n": g.n, "m": g.m, "mode": "separator_unions" if args.class_fast else "full"}
     try:
         if args.class_fast:
-            ct = build_clique_tree(g)
-            seps = [info.vertices for info in minimal_vertex_separators(ct)]
+            table = minimal_vertex_separators(build_clique_tree(g))
+            seps = [table.row(s) for s in range(len(table))]
             sc = oracle.restricted_scattering(g, seps)
             tau = oracle.restricted_toughness(g, seps)
         else:
@@ -267,9 +268,9 @@ def cmd_check(args) -> int:
         g, params = _random_capped_graph(args.seed, trial, args.max_n)
         message = _check_one(g, args.max_n)
         if message is not None:
+            print(f"trial {trial} ({params}): {message}", file=sys.stderr)
             out = Path(args.dump_dir) / f"counterexample-trial{trial}.gr"
             out.write_text(serialize_graph(g))
-            print(f"trial {trial} ({params}): {message}", file=sys.stderr)
             print(f"counterexample written to {out}", file=sys.stderr)
             return EXIT_MISMATCH
     print(f"{args.count}/{args.count} agree")
@@ -398,7 +399,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError) as exc:  # ValueError: bad option values
+    # ValueError: bad option values; OSError: an output file cannot be written
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -180,6 +180,11 @@ def is_mcs_order(g: Graph, order) -> bool:
     return True
 
 
+def rows(seps: Separators) -> list[frozenset]:
+    """Every separator of the table as a frozenset, in table order."""
+    return [seps.row(s) for s in range(len(seps))]
+
+
 def border_mvs_exists(seps: Separators) -> bool:
     """True iff some separator has exactly multiplicity-many boundary
     cliques.

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import UnionFind, border_mvs_exists, load_fixture
+from conftest import UnionFind, border_mvs_exists, load_fixture, rows
 from strictchordal import (
     GenParams,
     analyze,
@@ -84,7 +84,7 @@ def test_criterion_3_fig1():
         assert report.scattering_set == black
         assert report.case == "tough_ge_1"
         assert best_analyze_seconds(g) < 0.010
-        seps = [s.vertices for s in minimal_vertex_separators(build_clique_tree(g))]
+        seps = rows(minimal_vertex_separators(build_clique_tree(g)))
         assert restricted_scattering(g, seps).value == -4
         assert restricted_toughness(g, seps).value == Fraction(2)
 
@@ -123,9 +123,9 @@ def test_criterion_5_invariants(corpus):
         for g in corpus:
             ct = build_clique_tree(g)
             seps = minimal_vertex_separators(ct)
-            for s in seps:
-                count, _ = connected_components(g, s.vertices)
-                assert count == s.multiplicity + 1
+            for sep, mu in zip(rows(seps), seps.mult.tolist()):
+                count, _ = connected_components(g, sep)
+                assert count == mu + 1
             report = analyze(g)
             # the incidence structure is a tree: one edge fewer than nodes,
             # and its edges join every node
@@ -141,7 +141,7 @@ def test_criterion_5_invariants(corpus):
             count, _ = connected_components(g, report.scattering_set)
             assert count - len(report.scattering_set) == report.scattering_number
             assert (report.toughness >= 1) == (report.scattering_number <= 0)
-            used = [s.vertices for s in seps if s.vertices <= report.scattering_set]
+            used = [sep for sep in rows(seps) if sep <= report.scattering_set]
             assert sum(len(s) for s in used) == len(report.scattering_set)
             assert frozenset().union(*used) == report.scattering_set if used else True
 

@@ -21,6 +21,7 @@ from conftest import (
     neighbours,
     path_graph,
     random_graph,
+    rows,
     star_graph,
 )
 from strictchordal import (
@@ -120,14 +121,14 @@ def test_mcs_peo_iff_chordal(seed, n):
 def test_clique_tree_single_clique():
     ct = build_clique_tree(complete_graph(4))
     assert ct.n_cliques == 1
-    assert ct.cliques == [frozenset(range(4))]
+    assert sorted(ct.clique(0).tolist()) == [0, 1, 2, 3]
     assert len(ct.edge_child) == 0
 
 
 def test_clique_tree_path():
     ct = build_clique_tree(path_graph(3))
-    assert sorted(ct.cliques, key=sorted) == [frozenset({0, 1}), frozenset({1, 2})]
-    assert [sep for _, _, sep in ct.tree_edges] == [frozenset({1})]
+    assert sorted(sorted(ct.clique(q).tolist()) for q in range(2)) == [[0, 1], [1, 2]]
+    assert len(ct.edge_child) == 1 and ct.separator_slice(0).tolist() == [1]
 
 
 def test_clique_tree_fig2_g2_counts():
@@ -135,7 +136,7 @@ def test_clique_tree_fig2_g2_counts():
     ct = build_clique_tree(g)
     assert ct.n_cliques == 12
     assert len(ct.edge_child) == 11
-    assert set(ct.cliques) == reference_cliques(g)
+    assert {frozenset(ct.clique(q).tolist()) for q in range(12)} == reference_cliques(g)
 
 
 def test_clique_tree_rejects_non_chordal():
@@ -172,7 +173,7 @@ def test_is_mcs_order_accepts_alternative_tie_breaks():
     assert not is_mcs_order(g, [1, 0, 2])  # middle vertex cannot come last
     ids = np.arange(4)
     ct = _clique_tree_from_mcs(g, [0, 1, 2], ids, ids[:-1])
-    assert sorted(ct.cliques, key=sorted) == [frozenset({0, 1}), frozenset({1, 2})]
+    assert sorted(sorted(ct.clique(q).tolist()) for q in range(ct.n_cliques)) == [[0, 1], [1, 2]]
 
 
 def _assert_chordless_cycle(g: Graph, cycle):
@@ -206,20 +207,22 @@ def test_chordless_cycle_witness_is_valid(seed, n):
 
 
 def _assert_clique_tree_invariants(g: Graph, ct):
-    cliques = ct.cliques
+    cliques = [frozenset(ct.clique(q).tolist()) for q in range(ct.n_cliques)]
     assert set(cliques) == reference_cliques(g)
     # edges form a tree over the cliques
     assert len(ct.edge_child) == ct.n_cliques - 1
+    edges = list(zip(ct.edge_child.tolist(), ct.edge_parent.tolist()))
     uf = UnionFind(ct.n_cliques)
-    for c, p, sep in ct.tree_edges:
+    for e, (c, p) in enumerate(edges):
         assert uf.find(c) != uf.find(p), "cycle in clique tree"
         uf.union(c, p)
+        sep = frozenset(ct.separator_slice(e).tolist())
         assert sep == cliques[c] & cliques[p]
         assert sep, "empty separator"
     # clique-intersection property: every clique on the tree path between two
     # cliques contains their intersection
     adj = [[] for _ in range(ct.n_cliques)]
-    for c, p, _ in ct.tree_edges:
+    for c, p in edges:
         adj[c].append(p)
         adj[p].append(c)
     for a in range(ct.n_cliques):
@@ -274,20 +277,21 @@ def test_clique_tree_invariants_on_random_chordal(seed, n):
 def test_separators_path():
     seps = minimal_vertex_separators(build_clique_tree(path_graph(3)))
     assert len(seps) == 1
-    assert seps[0].vertices == frozenset({1})
-    assert seps[0].multiplicity == 1
+    assert seps.row(0) == frozenset({1})
+    assert seps.mult[0] == 1
 
 
 def test_separators_fig2_g2():
     g = load_fixture("fig2_g2.gr")
     seps = minimal_vertex_separators(build_clique_tree(g))
-    table = {tuple(sorted(s.vertices)): s.multiplicity for s in seps}
+    sets = rows(seps)
+    table = {tuple(sorted(sep)): mu for sep, mu in zip(sets, seps.mult.tolist())}
     assert table == {(0,): 3, (1,): 2, (2,): 2, (3,): 2, (4,): 2}
     # multiplicity identity: removing S leaves mu(S) + 1 pieces
-    for s in seps:
-        assert connected_components(g, s.vertices)[0] == s.multiplicity + 1
+    for sep, mu in zip(sets, seps.mult.tolist()):
+        assert connected_components(g, sep)[0] == mu + 1
     # boundary cliques: the leaf cliques hanging off each branch vertex
-    boundary = {tuple(sorted(s.vertices)): s.boundary_count for s in seps}
+    boundary = {tuple(sorted(sep)): b for sep, b in zip(sets, seps.boundary.tolist())}
     assert boundary == {(0,): 0, (1,): 2, (2,): 2, (3,): 2, (4,): 2}
 
 
@@ -297,11 +301,11 @@ def test_separators_fig1():
     assert len(seps) == 2
     white = frozenset(range(10))
     black = frozenset(range(10, 17))
-    table = {s.vertices: s for s in seps}
-    assert table[white].multiplicity == 4
-    assert table[black].multiplicity == 2
-    assert table[white].boundary_count == 4
-    assert table[black].boundary_count == 2
+    table = {sep: s for s, sep in enumerate(rows(seps))}
+    assert seps.mult[table[white]] == 4
+    assert seps.mult[table[black]] == 2
+    assert seps.boundary[table[white]] == 4
+    assert seps.boundary[table[black]] == 2
 
 
 def test_separators_sorted_by_smallest_vertex_and_multiplicity_sum():
@@ -309,9 +313,9 @@ def test_separators_sorted_by_smallest_vertex_and_multiplicity_sum():
         g = load_fixture(name)
         ct = build_clique_tree(g)
         seps = minimal_vertex_separators(ct)
-        mins = [min(s.vertices) for s in seps]
+        mins = [min(sep) for sep in rows(seps)]
         assert mins == sorted(mins)
-        assert sum(s.multiplicity for s in seps) == len(ct.edge_child)
+        assert seps.mult.sum() == len(ct.edge_child)
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,19 +331,21 @@ def test_separators_match_tree_edge_labels_in_lexicographic_order(seed, n):
     except NotConnectedError:
         return
     labels = {}
-    for _, _, sep in ct.tree_edges:
+    for e in range(len(ct.edge_child)):
+        sep = frozenset(ct.separator_slice(e).tolist())
         labels[sep] = labels.get(sep, 0) + 1
     expected = sorted((sorted(sep), mult) for sep, mult in labels.items())
     seps = minimal_vertex_separators(ct)
-    assert [(sorted(s.vertices), s.multiplicity) for s in seps] == expected
+    assert list(zip(map(sorted, rows(seps)), seps.mult.tolist())) == expected
 
 
 def test_separators_adjacent_cliques_contain_separator():
     g = load_fixture("fig2_g1.gr")
     ct = build_clique_tree(g)
-    for s in minimal_vertex_separators(ct):
-        for q in s.adjacent_cliques:
-            assert s.vertices <= ct.cliques[q]
+    seps = minimal_vertex_separators(ct)
+    sets = rows(seps)
+    for s, q in zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()):
+        assert sets[s] <= set(ct.clique(q).tolist())
 
 
 def test_separator_minimality_on_fixtures():
@@ -347,8 +353,8 @@ def test_separator_minimality_on_fixtures():
     # disconnects, no proper subset removal does), exhaustive for |S| <= 6
     for name in ("fig2_g1.gr", "fig2_g2.gr"):
         g = load_fixture(name)
-        for s in minimal_vertex_separators(build_clique_tree(g)):
-            vertices = sorted(s.vertices)
+        for sep in rows(minimal_vertex_separators(build_clique_tree(g))):
+            vertices = sorted(sep)
             if len(vertices) > 6:
                 continue
             assert connected_components(g, vertices)[0] >= 2
@@ -366,10 +372,11 @@ def test_separator_multiset_is_clique_tree_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         relabeled = Graph(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
-        original = {(s.vertices, s.multiplicity)
-                    for s in minimal_vertex_separators(build_clique_tree(g))}
-        mapped = {(frozenset(perm.index(v) for v in s.vertices), s.multiplicity)
-                  for s in minimal_vertex_separators(build_clique_tree(relabeled))}
+        seps = minimal_vertex_separators(build_clique_tree(g))
+        original = set(zip(rows(seps), seps.mult.tolist()))
+        seps = minimal_vertex_separators(build_clique_tree(relabeled))
+        mapped = {(frozenset(perm.index(v) for v in sep), mu)
+                  for sep, mu in zip(rows(seps), seps.mult.tolist())}
         assert original == mapped
 
 
@@ -382,12 +389,12 @@ def test_edge_clique_cover_for_strictly_chordal():
         ct = build_clique_tree(g)
         seps = minimal_vertex_separators(ct)
         expected = {}
-        for s in seps:
-            for pair in combinations(sorted(s.vertices), 2):
-                expected[pair] = s.multiplicity + 1
+        for sep, mu in zip(rows(seps), seps.mult.tolist()):
+            for pair in combinations(sorted(sep), 2):
+                expected[pair] = mu + 1
         counts = {}
-        for q in ct.cliques:
-            for pair in combinations(sorted(q), 2):
+        for q in range(ct.n_cliques):
+            for pair in combinations(sorted(ct.clique(q).tolist()), 2):
                 counts[pair] = counts.get(pair, 0) + 1
         assert set(counts) == set(map(tuple, map(sorted, g.edges())))
         for pair, count in counts.items():

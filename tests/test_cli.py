@@ -9,8 +9,8 @@ import pytest
 import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
-from strictchordal import chordal, serialize_graph, vulnerability
-from strictchordal.cli import main, report_document
+from strictchordal import serialize_graph, vulnerability
+from strictchordal.cli import main
 from strictchordal.errors import GraphError
 
 REQUIRED_KEYS = {"n", "m", "chordal", "strictly_chordal", "separators",
@@ -126,35 +126,11 @@ def test_analyze_dumps_go_to_stderr(capsys):
     assert "graph cb {" in err
 
 
-def test_analyze_and_report_build_no_separator_info(monkeypatch):
-    # the separator table stays arrays from minimal_vertex_separators to the
-    # report; SeparatorInfo entries are built only when a caller asks
-    def forbidden(**fields):
-        raise AssertionError("a SeparatorInfo was built")
-
-    monkeypatch.setattr(chordal, "SeparatorInfo", forbidden)
-    graphs = [parse_graph(path.read_text()) for path in sorted(FIXTURE_DIR.iterdir())]
-    graphs += [random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 12,
-                                                 max_block_size=2 + seed % 4,
-                                                 max_twins=seed % 3))
-               for seed in range(100)]
-    cases = set()
-    for g in graphs:
-        try:
-            report = analyze(g)
-        except GraphError:  # c4, gem and dart, after their witness is built
-            continue
-        report_document(g, report)
-        cases.add(report.case)
-    assert cases == {"complete", "single_mvs", "tough_ge_1", "type_a", "type_b"}
-    with pytest.raises(AssertionError):
-        list(report.separators)
-
-
 def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
-    # the cliques --dump-cliquetree prints are report.clique_tree's, the
-    # adjacent_cliques ids name printed cliques that hold the separator, and
-    # --dump-cb draws exactly those clique-separator edges
+    # the cliques and tree edges --dump-cliquetree prints are
+    # report.clique_tree's, the cliques of the separator table's incidences
+    # are printed cliques that hold the separator, and --dump-cb draws
+    # exactly those clique-separator edges
     paths = sorted(FIXTURE_DIR.iterdir())
     for seed in range(100):
         g = random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 12,
@@ -173,22 +149,30 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
             assert code == 3 and "clique 0:" not in err
             continue
         assert code == 0
-        printed, drawn = {}, set()
+        printed, edges, drawn = {}, [], set()
         for line in err.splitlines():
             if line.startswith("clique "):
                 head, members = line.split(":")
                 printed[int(head.split()[1])] = [int(v) for v in members.split()]
+            elif line.startswith("edge "):
+                head, members = line.split(" separator:")
+                _, c, dash, p = head.split()
+                assert dash == "-"
+                edges.append((int(c), int(p), [int(v) for v in members.split()]))
             elif " -- s" in line:
                 clique, sep = line.strip().rstrip(";").split(" -- ")
                 drawn.add((int(clique[1:]), int(sep[1:])))
         ct = report.clique_tree
         assert printed == {q: sorted(v + g.id_base for v in ct.clique(q).tolist())
                            for q in range(ct.n_cliques)}
-        for i, info in enumerate(report.separators):
-            for q in info.adjacent_cliques:
-                assert {v + g.id_base for v in info.vertices} <= set(printed[q])
-        assert drawn == {(q, i) for i, info in enumerate(report.separators)
-                         for q in info.adjacent_cliques}
+        assert edges == [(int(ct.edge_child[e]), int(ct.edge_parent[e]),
+                          sorted(v + g.id_base for v in ct.separator_slice(e).tolist()))
+                         for e in range(len(ct.edge_child))]
+        seps = report.separators
+        pairs = list(zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()))
+        for s, q in pairs:
+            assert {v + g.id_base for v in seps.row(s)} <= set(printed[q])
+        assert drawn == {(q, s) for s, q in pairs}
         analysed += 1
     assert analysed == 105  # all but c4, gem and dart
 
@@ -239,6 +223,14 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert json.loads(out)["n"] == g.n
 
 
+def test_gen_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out_file = tmp_path / "no_such_dir" / "g.gr"
+    code, out, err = run_cli(capsys, "gen", "--seed", "1", "-o", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(out_file) in err
+
+
 def test_gen_stdout_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "gen", "--seed", "5")
     code, out2, _ = run_cli(capsys, "gen", "--seed", "5")
@@ -287,6 +279,18 @@ def test_check_detects_injected_fault(capsys, tmp_path, monkeypatch):
     dumps = list(Path(tmp_path).glob("counterexample-*.gr"))
     assert len(dumps) == 1
     parse_graph(dumps[0].read_text())  # the dump is a valid graph file
+
+
+def test_check_dump_into_a_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("strictchordal.cli._check_one", lambda g, max_n: "injected mismatch")
+    dump_dir = tmp_path / "no_such_dir"
+    code, out, err = run_cli(capsys, "check", "--count", "3", "--max-n", "8",
+                             "--seed", "1", "--dump-dir", str(dump_dir))
+    assert code == 2
+    assert out == ""
+    assert "trial 0" in err and "injected mismatch" in err
+    assert err.splitlines()[-1].startswith("error: ") and str(dump_dir) in err
+    assert not dump_dir.exists()
 
 
 def test_check_rejects_max_n_above_cap(capsys):

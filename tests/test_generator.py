@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from conftest import diamond, neighbours, path_graph
 from strictchordal import (
     GenParams,
-    add_true_twins,
     analyze,
     brute_force_scattering,
     build_clique_tree,
     connected_components,
     minimal_vertex_separators,
-    random_block_graph,
     random_strictly_chordal,
     serialize_graph,
 )
-from strictchordal.recognition import separator_overlap
+from strictchordal.generator import add_true_twins, random_block_graph
+from strictchordal.vulnerability import separator_overlap
 from strictchordal.vulnerability import CASE_COMPLETE
 
 

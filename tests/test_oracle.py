@@ -10,6 +10,7 @@ from conftest import (
     cycle_graph,
     load_fixture,
     random_graph,
+    rows,
     star_graph,
     two_k4_sharing_triangle,
 )
@@ -134,7 +135,7 @@ def test_restricted_oracle_matches_full_on_strictly_chordal():
         g = random_strictly_chordal(corpus_params(seed))
         if g.n > 14:
             continue
-        seps = [s.vertices for s in minimal_vertex_separators(build_clique_tree(g))]
+        seps = rows(minimal_vertex_separators(build_clique_tree(g)))
         if not seps:
             continue
         hits += 1
@@ -146,7 +147,7 @@ def test_restricted_oracle_matches_full_on_strictly_chordal():
 def test_fig1_via_restricted_oracle():
     # n=23 exceeds the default cap; the class-fast oracle handles it
     g = load_fixture("fig1.gr")
-    seps = [s.vertices for s in minimal_vertex_separators(build_clique_tree(g))]
+    seps = rows(minimal_vertex_separators(build_clique_tree(g)))
     sc = restricted_scattering(g, seps)
     tau = restricted_toughness(g, seps)
     assert sc.value == -4
@@ -158,6 +159,6 @@ def test_fig1_via_restricted_oracle():
 
 def test_restricted_oracle_set_cap():
     g = load_fixture("fig2_g2.gr")
-    seps = [s.vertices for s in minimal_vertex_separators(build_clique_tree(g))]
+    seps = rows(minimal_vertex_separators(build_clique_tree(g)))
     with pytest.raises(TooLargeError):
         restricted_scattering(g, seps, max_sets=3)

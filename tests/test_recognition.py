@@ -10,13 +10,14 @@ from conftest import (
     gem,
     load_fixture,
     path_graph,
+    rows,
     star_graph,
 )
 from strictchordal import (
     build_clique_tree,
     minimal_vertex_separators,
 )
-from strictchordal.recognition import separator_overlap
+from strictchordal.vulnerability import separator_overlap
 
 
 def pipeline(g):
@@ -62,7 +63,7 @@ def test_fig2_g1_separators_are_disjoint():
     g = load_fixture("fig2_g1.gr")
     _, seps = pipeline(g)
     assert is_strictly_chordal(seps)
-    assert {frozenset(s.vertices) for s in seps} == {
+    assert set(rows(seps)) == {
         frozenset({0, 9}), frozenset({2}), frozenset({3, 4}), frozenset({6, 7, 8})
     }
 
@@ -92,9 +93,10 @@ def test_cb_labels_initialized():
     # the sizes and multiplicities the type-B pass starts from
     ct, seps = pipeline(double_star())
     assert seps.clique_sizes.tolist() == [len(ct.clique(q)) for q in range(ct.n_cliques)]
-    for i, info in enumerate(seps):
-        assert seps.sizes[i] == len(info.vertices)
-        assert seps.mult[i] == info.multiplicity
+    tree_seps = [frozenset(ct.separator_slice(e).tolist()) for e in range(len(ct.edge_child))]
+    for i, sep in enumerate(rows(seps)):
+        assert seps.sizes[i] == len(sep)
+        assert seps.mult[i] == tree_seps.count(sep)
 
 
 def _assert_cb_invariants(g):
@@ -109,18 +111,19 @@ def _assert_cb_invariants(g):
     for s, c in zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()):
         uf.union(c, q + s)
     assert len({uf.find(v) for v in range(node_count(seps))}) == 1
-    for i, info in enumerate(seps):
-        # degree of a separator node is its multiplicity + 1
-        assert deg[q + i] == info.multiplicity + 1
-        # every neighbour is a clique node containing the separator
-        for c in info.adjacent_cliques:
-            assert c < q
-            assert info.vertices <= ct.cliques[c]
-    # the pairs run by separator and then clique, without repeats
+    # degree of a separator node is its multiplicity + 1
+    assert (deg[q:] == seps.mult + 1).all()
+    sets = rows(seps)
+    cliques = [set(ct.clique(c).tolist()) for c in range(q)]
+    # the pairs run by separator and then clique, without repeats, and every
+    # neighbour of a separator is a clique node containing it
     pairs = list(zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()))
     assert pairs == sorted(set(pairs))
+    for s, c in pairs:
+        assert c < q
+        assert sets[s] <= cliques[c]
     # separator nodes are ordered by smallest contained vertex
-    mins = [min(info.vertices) for info in seps]
+    mins = [min(sep) for sep in sets]
     assert mins == sorted(mins)
     # leaf clique nodes contain exactly one separator and are the boundary
     # cliques counted during separator extraction
@@ -128,10 +131,9 @@ def _assert_cb_invariants(g):
     for s, c in pairs:
         if deg[c] == 1:
             leaf_counts[s] += 1
-            inside = [i for i in range(len(seps)) if seps[i].vertices <= ct.cliques[c]]
+            inside = [i for i, sep in enumerate(sets) if sep <= cliques[c]]
             assert inside == [s]
-    for i, info in enumerate(seps):
-        assert info.boundary_count == leaf_counts[i]
+    assert seps.boundary.tolist() == [leaf_counts[i] for i in range(len(seps))]
     if len(seps) > 1:
         assert border_mvs_exists(seps)
 
@@ -145,8 +147,8 @@ def test_border_mvs_on_fig2_g2():
     _, seps = pipeline(load_fixture("fig2_g2.gr"))
     assert border_mvs_exists(seps)
     # each branch separator has both its outer cliques as leaves
-    table = {min(s.vertices): s for s in seps}
-    assert table[1].boundary_count == 2 == table[1].multiplicity
+    table = {min(sep): s for s, sep in enumerate(rows(seps))}
+    assert seps.boundary[table[1]] == 2 == seps.mult[table[1]]
 
 
 def test_border_mvs_on_double_star():
@@ -165,6 +167,6 @@ def test_vertex_to_separator_assignment_is_a_function(corpus):
     for g in corpus:
         _, seps = pipeline(g)
         owner = {}
-        for info in seps:
-            for v in info.vertices:
-                assert owner.setdefault(v, info.vertices) == info.vertices
+        for sep in rows(seps):
+            for v in sep:
+                assert owner.setdefault(v, sep) == sep

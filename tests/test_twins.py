@@ -17,6 +17,7 @@ from conftest import (
     load_fixture,
     neighbours,
     random_graph,
+    rows,
 )
 from test_chordal import _assert_chordless_cycle, _assert_clique_tree_invariants
 from strictchordal import (
@@ -122,8 +123,8 @@ def test_class_clique_tree_is_a_clique_tree_of_the_graph():
             ct = _clique_tree_from_mcs(h, mcs_order(h), class_ptr, members)
         except NotConnectedError:
             continue
-        # cliques are g's maximal cliques, each separator_slice(e) (read by
-        # tree_edges) is the intersection of its edge's cliques, and the
+        # cliques are g's maximal cliques, each separator_slice(e) is the
+        # intersection of its edge's cliques, and the
         # running intersection property holds
         _assert_clique_tree_invariants(g, ct)
         class_sizes = np.diff(class_ptr)
@@ -131,8 +132,9 @@ def test_class_clique_tree_is_a_clique_tree_of_the_graph():
             classes = ct.clique_indices[ct.clique_indptr[q]:ct.clique_indptr[q + 1]]
             assert class_sizes[classes].sum() == len(ct.clique(q))
         ref = minimal_vertex_separators(build_clique_tree(g))
-        assert [(s.vertices, s.multiplicity) for s in minimal_vertex_separators(ct)] == [
-            (s.vertices, s.multiplicity) for s in ref]
+        seps = minimal_vertex_separators(ct)
+        assert rows(seps) == rows(ref)
+        assert seps.mult.tolist() == ref.mult.tolist()
 
 
 def _assert_minimal_separator(g: Graph, sep):
