@@ -75,10 +75,8 @@ def mcs_order(g: Graph) -> list[int]:
 def _orient(g: Graph, order):
     """Orient every edge of g toward its endpoint later in ``order``.
 
-    Reads the CSR arrays only.  Returns ``(pos, tails, heads, sizes,
-    follower, bad)``: ``pos[v]`` is v's index in ``order``; edge j runs from
-    ``tails[j]`` to its later endpoint ``heads[j]``, grouped by tail with
-    heads ascending; ``sizes[v]`` counts v's later neighbours and
+    Reads the CSR arrays only.  Returns ``(ptr, heads, follower, bad)``:
+    v's later neighbours are ``heads[ptr[v]:ptr[v + 1]]``, ascending, and
     ``follower[v]`` is the one of least position (-1 if none).  ``bad``
     holds the triples (u, follower(u), w) failing the follower test, by u and
     then by w's position: every later neighbour w of u other than its
@@ -97,12 +95,12 @@ def _orient(g: Graph, order):
     tails = tails[later]
     heads = indices[later]
     head_pos = head_pos[later]
-    sizes = np.bincount(tails, minlength=n)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
     follower = np.full(n, -1, dtype=np.int64)
-    has_later = sizes > 0
+    has_later = ptr[1:] > ptr[:-1]
     if len(tails):
-        group_start = (np.cumsum(sizes) - sizes)[has_later]
-        follower[has_later] = order[np.minimum.reduceat(head_pos, group_start)]
+        follower[has_later] = order[np.minimum.reduceat(head_pos, ptr[:-1][has_later])]
     # w comes after follower(u), so the edge (follower(u), w), if present, is
     # one of the oriented keys tail * n + head, sorted as tails and heads ascend
     keys = tails * n + heads
@@ -114,7 +112,7 @@ def _orient(g: Graph, order):
     if len(u):
         by_pos = np.lexsort((pos[w], u))
         u, fu, w = u[by_pos], fu[by_pos], w[by_pos]
-    return pos, tails, heads, sizes, follower, (u, fu, w)
+    return ptr, heads, follower, (u, fu, w)
 
 
 def verify_peo(g: Graph, order) -> bool:
@@ -251,21 +249,21 @@ class CliqueTree:
     on the graph's true-twin classes.
 
     The arrays hold class ids: class x stands for the vertices
-    ``members[class_ptr[x]:class_ptr[x + 1]]``.  Cliques are stored in CSR
-    form: clique q occupies
-    ``clique_indices[clique_indptr[q]:clique_indptr[q+1]]``, representative
-    class first and the overlap with the parent clique (the separator of the
-    edge toward it, ``sep_len[q]`` classes) last.  Tree edge e joins
-    ``edge_child[e]`` to ``edge_parent[e]``.  ``clique(q)`` and
-    ``separator_slice(e)`` spread the classes into vertices in that layout,
-    each class ascending.  All of it is computed from the CSR arrays of the
-    graph the search ran on (``g.csr()``) and the search order, never from
-    Python neighbour lists.
+    ``members[class_ptr[x]:class_ptr[x + 1]]``.  Clique q is its own classes
+    ``visit[clique_ptr[q]:clique_ptr[q + 1]]``, representative first, and its
+    separator row ``sep_indices[sep_ptr[q]:sep_ptr[q + 1]]``, ascending: its
+    overlap with its parent clique (empty for the root, clique 0).  Tree edge
+    e joins ``edge_child[e]`` to ``edge_parent[e]`` and is labelled with the
+    child's row.  ``clique(q)`` (own classes, then the row) and
+    ``separator_slice(e)`` spread the classes into vertices, each class
+    ascending.  All of it comes from the CSR arrays of the graph the search
+    ran on (``g.csr()``) and the search order.
     """
 
-    clique_indptr: np.ndarray
-    clique_indices: np.ndarray
-    sep_len: np.ndarray
+    visit: np.ndarray
+    clique_ptr: np.ndarray
+    sep_indices: np.ndarray
+    sep_ptr: np.ndarray
     edge_child: np.ndarray
     edge_parent: np.ndarray
     class_ptr: np.ndarray
@@ -273,22 +271,23 @@ class CliqueTree:
 
     @property
     def n_cliques(self) -> int:
-        return len(self.clique_indptr) - 1
+        return len(self.clique_ptr) - 1
 
     def clique(self, q: int) -> np.ndarray:
-        classes = self.clique_indices[self.clique_indptr[q]:self.clique_indptr[q + 1]]
+        classes = np.concatenate((self.visit[self.clique_ptr[q]:self.clique_ptr[q + 1]],
+                                  self.sep_indices[self.sep_ptr[q]:self.sep_ptr[q + 1]]))
         return _spread(classes, self.class_ptr, self.members)[0]
 
     def separator_slice(self, e: int) -> np.ndarray:
         child = self.edge_child[e]
-        end = self.clique_indptr[child + 1]
-        classes = self.clique_indices[end - self.sep_len[child]:end]
+        classes = self.sep_indices[self.sep_ptr[child]:self.sep_ptr[child + 1]]
         return _spread(classes, self.class_ptr, self.members)[0]
 
 
 def _spread(xs, class_ptr, members):
-    """The classes of the vertices ``xs``, concatenated, and the prefix sums
-    of their sizes (``ends[i]`` entries come before the class of xs[i])."""
+    """Rows ``xs`` of the CSR ``(class_ptr, members)``, concatenated, and
+    the prefix sums of their lengths (``ends[i]`` entries come before row
+    xs[i]); on the class CSR, the classes of the vertices ``xs``."""
     sizes = class_ptr[xs + 1] - class_ptr[xs]
     ends = np.zeros(len(xs) + 1, dtype=np.int64)
     np.cumsum(sizes, out=ends[1:])
@@ -317,7 +316,8 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     cycle is reported through the first member of each class."""
     n = g.n
     order = np.asarray(order, dtype=np.int64)
-    pos, tails, heads, sizes, follower, (bad_u, bad_f, bad_w) = _orient(g, order)
+    later_ptr, heads, follower, (bad_u, bad_f, bad_w) = _orient(g, order)
+    sizes = np.diff(later_ptr)
     # a connected graph has exactly one vertex without later neighbours (the
     # last of the ordering); each extra one starts another component
     if n == 0 or int((sizes == 0).sum()) != 1:
@@ -343,31 +343,18 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     starts[1:] = weight[1:] != weight[:-1] + 1
     clique_of = np.empty(n, dtype=np.int64)
     clique_of[visit] = np.cumsum(starts) - 1
-    reps = visit[starts]
-    k = len(reps)
-    sep_len = sizes[reps]
-    # clique q = the vertices numbered into it, in visit order (representative
-    # first), then the overlap its representative shares with the parent
-    # clique: the representative's later neighbours, by position
-    is_rep = np.zeros(n, dtype=bool)
-    is_rep[reps] = True
-    in_overlap = is_rep[tails]
-    keys = clique_of[tails[in_overlap]] * n + pos[heads[in_overlap]]
-    keys.sort()
-    numbered = np.diff(np.append(np.flatnonzero(starts), n))
-    in_sep = np.repeat(np.tile([False, True], k),
-                       np.stack((numbered, sep_len), axis=1).ravel())
-    out = np.empty(len(in_sep), dtype=np.int64)
-    out[~in_sep] = visit
-    out[in_sep] = order[keys % n]
-    out_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(numbered + sep_len, out=out_indptr[1:])
+    clique_ptr = np.append(np.flatnonzero(starts), n)
+    reps = visit[clique_ptr[:-1]]
+    # clique q = the vertices numbered into it, in visit order, then its
+    # overlap with the parent: its representative's later neighbours, ascending
+    sep_indices, sep_ptr = _spread(reps, later_ptr, heads)
     # each non-root clique hangs off the clique of its representative's follower
     return CliqueTree(
-        clique_indptr=out_indptr,
-        clique_indices=out,
-        sep_len=sep_len,
-        edge_child=np.arange(1, k, dtype=np.int64),
+        visit=visit,
+        clique_ptr=clique_ptr,
+        sep_indices=sep_indices,
+        sep_ptr=sep_ptr,
+        edge_child=np.arange(1, len(reps), dtype=np.int64),
         edge_parent=clique_of[follower[reps[1:]]],
         class_ptr=class_ptr,
         members=members,
@@ -412,19 +399,16 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     """Distinct minimal vertex separators with multiplicities, as a
     ``Separators`` table.
 
-    Separators are grouped by their rows of the tree's classes, sorted and
-    deduplicated, and each distinct row is then spread into its vertices;
-    the multiplicities sum to the number of tree edges.  On a block
-    duplicate graph every row is one class and one sort orders the rows.
+    Each tree edge's row of classes is read in place from ``sep_indices``,
+    the rows are sorted and deduplicated, and each distinct row is spread
+    into its vertices; the multiplicities sum to the number of tree edges.
+    On a block duplicate graph every row is one class: one sort orders them.
     """
     n_edges = len(ct.edge_child)
     n_cliques = ct.n_cliques
-    indptr = ct.clique_indptr
-    lens = ct.sep_len[ct.edge_child]
-    heads = np.cumsum(lens) - lens  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
-    grp = np.repeat(np.arange(n_edges, dtype=np.int64), lens)
-    vals = ct.clique_indices[np.arange(len(grp)) + (indptr[ct.edge_child + 1] - lens - heads)[grp]]
-    vals = vals[np.lexsort((vals, grp))]  # each edge's row sorted in place
+    vals = ct.sep_indices
+    heads = ct.sep_ptr[ct.edge_child]  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
+    lens = ct.sep_ptr[ct.edge_child + 1] - heads
     # rows in lexicographic order (a row before the longer rows it begins):
     # by the first class, then run by run of equal prefixes by each later
     # column over the rows reaching it, so work and memory follow the entries
@@ -454,15 +438,17 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     # boundary cliques contain exactly one distinct separator
     leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
     # each row's classes spread into vertices, sorted within the row
-    classes, row_ptr = _spread(firsts, np.append(heads, len(vals)), vals)
+    classes, row_ptr = _spread(ct.edge_child[firsts], ct.sep_ptr, vals)
     vertices, ends = _spread(classes, ct.class_ptr, ct.members)
     row_ptr = ends[row_ptr]
     sizes = np.diff(row_ptr)
     vertices = vertices[np.lexsort((vertices, np.repeat(np.arange(n_seps), sizes)))]
+    # a clique's size is its own run's plus its row's, both in vertices
     class_sizes = np.diff(ct.class_ptr)
+    own = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
     return Separators(
         n_cliques=n_cliques,
-        clique_sizes=np.add.reduceat(class_sizes[ct.clique_indices], indptr[:-1]),
+        clique_sizes=own + np.diff(np.append(0, np.cumsum(class_sizes[vals]))[ct.sep_ptr]),
         indptr=row_ptr,
         indices=vertices,
         sizes=sizes,

@@ -38,9 +38,6 @@ EXIT_INPUT = 2
 EXIT_NOT_IN_CLASS = 3
 EXIT_MISMATCH = 4
 
-# analyze() stages whose best-run seconds `bench` prints after its totals
-BENCH_STAGES = ("twins", "mcs", "clique_tree", "separators", "vulnerability")
-
 
 def _load_graph(path: str) -> Graph:
     try:
@@ -130,12 +127,13 @@ def _dump_structures(g: Graph, report, dump_ct: bool, dump_cb: bool) -> None:
             members = " ".join(str(v + base) for v in sorted(ct.separator_slice(e).tolist()))
             print(f"edge {c} - {p} separator: {members}", file=sys.stderr)
     if dump_cb:
-        # Graphviz-style: clique nodes q*, separator nodes s* (internal ids)
+        # Graphviz-style: clique nodes q*, separator nodes s* (table ids),
+        # each separator labelled with its vertices in file numbering
         seps = report.separators
         lines = ["graph cb {"]
         lines += [f'  q{q} [shape=box, label="Q{q} card={card}"];'
                   for q, card in enumerate(seps.clique_sizes.tolist())]
-        rows, bounds = seps.indices.tolist(), seps.indptr.tolist()
+        rows, bounds = (seps.indices + base).tolist(), seps.indptr.tolist()
         for i, mu in enumerate(seps.mult.tolist()):
             label = ",".join(map(str, rows[bounds[i]:bounds[i + 1]]))
             lines.append(f'  s{i} [label="S{{{label}}} mu={mu}"];')
@@ -261,9 +259,8 @@ def cmd_check(args) -> int:
         raise ValueError(f"--count must be non-negative, got {args.count}")
     if args.max_n < 2:  # no generated graph is smaller
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    cap = oracle.oracle_cap(None)
-    if args.max_n > cap:
-        raise TooLargeError(f"--max-n {args.max_n} exceeds the oracle cap {cap}")
+    if args.max_n > oracle.DEFAULT_CAP:
+        raise TooLargeError(f"--max-n {args.max_n} exceeds the oracle cap {oracle.DEFAULT_CAP}")
     for trial in range(args.count):
         g, params = _random_capped_graph(args.seed, trial, args.max_n)
         message = _check_one(g, args.max_n)
@@ -303,14 +300,15 @@ def cmd_bench(args) -> int:
     runs = [generator.GenParams(seed=args.seed + i, target_n=size,
                                 max_block_size=args.max_block, max_twins=args.max_twins)
             for i, size in enumerate(sizes)]
-    # warm up interpreter and numpy before timing
+    # warm up interpreter and numpy before timing; the stage columns are the
+    # stages analyze() timed, in its order
     warm = generator.random_strictly_chordal(
         generator.GenParams(seed=args.seed, target_n=2000,
                             max_block_size=args.max_block, max_twins=args.max_twins))
-    analyze(warm)
+    stage_names = list(analyze(warm).timings)
     print(f"{'target':>9} {'n':>9} {'m':>10} {'case':>11} {'time_s':>9} "
           f"{'us_per_nm':>10} {'parse_s':>9} {'ratio':>6} "
-          + " ".join(f"{stage:>13}" for stage in BENCH_STAGES))
+          + " ".join(f"{stage:>13}" for stage in stage_names))
     prev = None
     for size, params in zip(sizes, runs):
         g = generator.random_strictly_chordal(params)
@@ -339,7 +337,7 @@ def cmd_bench(args) -> int:
         prev = best
         print(f"{size:>9} {g.n:>9} {g.m:>10} {case:>11} {best:>9.3f} "
               f"{best / (g.n + g.m) * 1e6:>10.3f} {best_parse:>9.3f} {ratio:>6} "
-              + " ".join(f"{stages[stage]:>13.3f}" for stage in BENCH_STAGES))
+              + " ".join(f"{stages[stage]:>13.3f}" for stage in stage_names))
     return EXIT_OK
 
 
@@ -362,9 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force scattering number and toughness")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"size cap (default {oracle.DEFAULT_CAP}, "
-                        f"env {oracle.CAP_ENV_VAR} overrides)")
+    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
+                   help="size cap in vertices (default %(default)s)")
     p.add_argument("--class-fast", action="store_true",
                    help="restrict candidates to unions of minimal vertex separators")
     p.set_defaults(func=cmd_oracle)

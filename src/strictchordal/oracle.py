@@ -4,13 +4,12 @@ The scattering number is the maximum of omega(G-S) - |S| and the toughness
 the minimum of |S| / omega(G-S), both over every vertex subset S whose
 removal leaves at least two components.  Subsets are enumerated as bitmasks;
 component counts come from a memoized bitset table indexed by survivor set.
-Exponential: guarded by a size cap (env var SCATTER_ORACLE_CAP overrides the
-default).
+Exponential: guarded by a size cap, ``DEFAULT_CAP`` vertices unless the
+caller passes another.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,21 +17,6 @@ from .errors import CompleteGraphError, TooLargeError
 from .graph import Graph
 
 DEFAULT_CAP = 20
-CAP_ENV_VAR = "SCATTER_ORACLE_CAP"
-
-
-def oracle_cap(cap=None) -> int:
-    """Effective size cap: explicit argument, else the environment override,
-    else the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -137,7 +121,6 @@ def _all_subsets(g: Graph, cap):
     """(S, omega(G-S)) for every vertex subset S, as bitmasks in ascending
     order; raises TooLargeError beyond the cap."""
     n = g.n
-    cap = oracle_cap(cap)
     if n > cap:
         raise TooLargeError(f"n={n} exceeds the oracle cap {cap}")
     table = component_count_table(g)
@@ -146,7 +129,7 @@ def _all_subsets(g: Graph, cap):
         yield s_mask, table[full ^ s_mask]
 
 
-def brute_force_scattering(g: Graph, cap=None) -> OracleResult:
+def brute_force_scattering(g: Graph, cap=DEFAULT_CAP) -> OracleResult:
     """Exact scattering number by enumerating all 2^n vertex subsets.
 
     Raises TooLargeError beyond the cap and CompleteGraphError when no
@@ -156,7 +139,7 @@ def brute_force_scattering(g: Graph, cap=None) -> OracleResult:
     return OracleResult(comp - size, witness, 1 << g.n)
 
 
-def brute_force_toughness(g: Graph, cap=None) -> OracleResult:
+def brute_force_toughness(g: Graph, cap=DEFAULT_CAP) -> OracleResult:
     """Exact toughness by enumerating all 2^n vertex subsets.
 
     Raises TooLargeError beyond the cap and CompleteGraphError when no

@@ -219,6 +219,14 @@ def _assert_clique_tree_invariants(g: Graph, ct):
         sep = frozenset(ct.separator_slice(e).tolist())
         assert sep == cliques[c] & cliques[p]
         assert sep, "empty separator"
+    # each clique's separator row is strictly ascending in class ids and
+    # spreads to its overlap with its parent clique (the root's row is empty)
+    parent = dict(edges)
+    for q in range(ct.n_cliques):
+        row = ct.sep_indices[ct.sep_ptr[q]:ct.sep_ptr[q + 1]].tolist()
+        assert row == sorted(set(row)), row
+        spread = {v for x in row for v in ct.members[ct.class_ptr[x]:ct.class_ptr[x + 1]].tolist()}
+        assert spread == (cliques[q] & cliques[parent[q]] if q in parent else set())
     # clique-intersection property: every clique on the tree path between two
     # cliques contains their intersection
     adj = [[] for _ in range(ct.n_cliques)]

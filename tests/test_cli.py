@@ -130,7 +130,8 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
     # the cliques and tree edges --dump-cliquetree prints are
     # report.clique_tree's, the cliques of the separator table's incidences
     # are printed cliques that hold the separator, and --dump-cb draws
-    # exactly those clique-separator edges
+    # exactly those clique-separator edges, labelling separator s with its
+    # vertices in file numbering
     paths = sorted(FIXTURE_DIR.iterdir())
     for seed in range(100):
         g = random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 12,
@@ -149,7 +150,7 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
             assert code == 3 and "clique 0:" not in err
             continue
         assert code == 0
-        printed, edges, drawn = {}, [], set()
+        printed, edges, drawn, labels = {}, [], set(), {}
         for line in err.splitlines():
             if line.startswith("clique "):
                 head, members = line.split(":")
@@ -162,6 +163,9 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
             elif " -- s" in line:
                 clique, sep = line.strip().rstrip(";").split(" -- ")
                 drawn.add((int(clique[1:]), int(sep[1:])))
+            elif line.startswith("  s"):
+                node, label = line.strip().split(' [label="S{')
+                labels[int(node[1:])] = [int(v) for v in label.split("}")[0].split(",")]
         ct = report.clique_tree
         assert printed == {q: sorted(v + g.id_base for v in ct.clique(q).tolist())
                            for q in range(ct.n_cliques)}
@@ -173,6 +177,8 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
         for s, q in pairs:
             assert {v + g.id_base for v in seps.row(s)} <= set(printed[q])
         assert drawn == {(q, s) for s, q in pairs}
+        assert labels == {s: sorted(v + g.id_base for v in seps.row(s))
+                          for s in range(len(seps))}
         analysed += 1
     assert analysed == 105  # all but c4, gem and dart
 
@@ -306,6 +312,9 @@ def test_bench_smoke(capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     assert len(lines) == 3  # header + one row per size
     assert "time_s" in lines[0]
+    # after the eight totals, one column per stage analyze() times, in its order
+    stages = list(analyze(parse_graph(Path(fixture("fig2_g2.gr")).read_text())).timings)
+    assert lines[0].split()[8:] == stages
 
 
 @pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
@@ -354,7 +363,6 @@ def test_console_entry_point_subprocess():
     (["gen", "--seed", "1", "--target-n", "100", "--max-block", "2000000"], {}),
     (["bench", "--sizes", "10,abc", "--seed", "1"], {}),
     (["bench", "--sizes", "0", "--seed", "1"], {}),
-    (["oracle", fixture("fig2_g2.gr")], {"SCATTER_ORACLE_CAP": "abc"}),
 ])
 def test_bad_option_values_exit_2(argv, env):
     # in a subprocess with a timeout, so that a hang fails instead of stalling

@@ -29,7 +29,6 @@ from strictchordal.oracle import (
     adjacency_masks,
     component_count_table,
     count_components_mask,
-    oracle_cap,
 )
 
 
@@ -77,17 +76,10 @@ def test_complete_graph_raises():
         brute_force_scattering(complete_graph(1))
 
 
-def test_size_cap_and_env_override(monkeypatch):
+def test_size_cap_and_env_override():
     g = random_strictly_chordal(corpus_params(3))
     with pytest.raises(TooLargeError):
         brute_force_scattering(g, cap=g.n - 1)
-    monkeypatch.setenv("SCATTER_ORACLE_CAP", str(g.n - 1))
-    assert oracle_cap() == g.n - 1
-    with pytest.raises(TooLargeError):
-        brute_force_scattering(g)
-    monkeypatch.setenv("SCATTER_ORACLE_CAP", "25")
-    assert oracle_cap() == 25
-    assert oracle_cap(cap=5) == 5
 
 
 def test_component_table_matches_direct_recount():

@@ -127,12 +127,15 @@ def test_class_clique_tree_is_a_clique_tree_of_the_graph():
         # intersection of its edge's cliques, and the
         # running intersection property holds
         _assert_clique_tree_invariants(g, ct)
+        # a clique's vertices are its own classes' and its separator row's
         class_sizes = np.diff(class_ptr)
         for q in range(ct.n_cliques):
-            classes = ct.clique_indices[ct.clique_indptr[q]:ct.clique_indptr[q + 1]]
-            assert class_sizes[classes].sum() == len(ct.clique(q))
+            own = ct.visit[ct.clique_ptr[q]:ct.clique_ptr[q + 1]]
+            row = ct.sep_indices[ct.sep_ptr[q]:ct.sep_ptr[q + 1]]
+            assert class_sizes[own].sum() + class_sizes[row].sum() == len(ct.clique(q))
         ref = minimal_vertex_separators(build_clique_tree(g))
         seps = minimal_vertex_separators(ct)
+        assert seps.clique_sizes.tolist() == [len(ct.clique(q)) for q in range(ct.n_cliques)]
         assert rows(seps) == rows(ref)
         assert seps.mult.tolist() == ref.mult.tolist()
 
