@@ -6,46 +6,7 @@ near-linear time, and ships exponential brute-force oracles plus a
 reproducible random generator for validating the fast path.
 """
 
-from .chordal import (
-    CliqueTree,
-    Separators,
-    build_clique_tree,
-    mcs_order,
-    minimal_vertex_separators,
-    verify_peo,
-)
-from .errors import (
-    CompleteGraphError,
-    GraphError,
-    InternalError,
-    NotChordalError,
-    NotConnectedError,
-    NotStrictlyChordalError,
-    ParseError,
-    TooLargeError,
-)
-from .generator import GenParams, random_strictly_chordal
-from .graph import Graph, connected_components, parse_graph, serialize_graph
-from .oracle import (
-    OracleResult,
-    brute_force_scattering,
-    brute_force_toughness,
-    restricted_scattering,
-    restricted_toughness,
-)
-from .vulnerability import (
-    CASE_COMPLETE,
-    CASE_SINGLE_MVS,
-    CASE_TOUGH_GE_1,
-    CASE_TYPE_A,
-    CASE_TYPE_B,
-    VulnerabilityReport,
-    analyze,
-    classify,
-    scattering_set_type_b,
-    scattering_tough_ge_1,
-    toughness,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -87,3 +48,59 @@ __all__ = [
     "toughness",
     "verify_peo",
 ]
+
+
+# each public name and the submodule that defines it: ``__getattr__``
+# imports the submodule on first access, so a call loads only what it uses
+_MODULE_OF = {
+    "CASE_COMPLETE": "vulnerability",
+    "CASE_SINGLE_MVS": "vulnerability",
+    "CASE_TOUGH_GE_1": "vulnerability",
+    "CASE_TYPE_A": "vulnerability",
+    "CASE_TYPE_B": "vulnerability",
+    "CliqueTree": "chordal",
+    "CompleteGraphError": "errors",
+    "GenParams": "generator",
+    "Graph": "graph",
+    "GraphError": "errors",
+    "InternalError": "errors",
+    "NotChordalError": "errors",
+    "NotConnectedError": "errors",
+    "NotStrictlyChordalError": "errors",
+    "OracleResult": "oracle",
+    "ParseError": "errors",
+    "Separators": "chordal",
+    "TooLargeError": "errors",
+    "VulnerabilityReport": "vulnerability",
+    "analyze": "vulnerability",
+    "brute_force_scattering": "oracle",
+    "brute_force_toughness": "oracle",
+    "build_clique_tree": "chordal",
+    "classify": "vulnerability",
+    "connected_components": "graph",
+    "mcs_order": "chordal",
+    "minimal_vertex_separators": "chordal",
+    "parse_graph": "graph",
+    "random_strictly_chordal": "generator",
+    "restricted_scattering": "oracle",
+    "restricted_toughness": "oracle",
+    "scattering_set_type_b": "vulnerability",
+    "scattering_tough_ge_1": "vulnerability",
+    "serialize_graph": "graph",
+    "toughness": "vulnerability",
+    "verify_peo": "chordal",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -177,6 +177,23 @@ def _mix_keys(ids):
     return x
 
 
+def _least_of_groups(fp):
+    """For each vertex v, the least vertex whose fingerprint is ``fp[v]``.
+    The sort need not be stable: each group's least is taken by a
+    reduction, not as its first entry."""
+    n = len(fp)
+    by_fp = np.argsort(fp)
+    first = np.ones(n, dtype=bool)
+    first[1:] = fp[by_fp[1:]] != fp[by_fp[:-1]]
+    group = first.nonzero()[0]  # where each group starts in by_fp
+    size = np.empty_like(group)
+    np.subtract(group[1:], group[:-1], out=size[:-1])
+    size[-1:] = n - group[-1:]
+    least = np.empty(n, dtype=np.int64)
+    least[by_fp] = np.repeat(np.minimum.reduceat(by_fp, group), size)
+    return least
+
+
 def true_twin_quotient(g: Graph):
     """Classes of mutual true twins of g and the graph on one vertex of each.
 
@@ -210,12 +227,7 @@ def true_twin_quotient(g: Graph):
     closed_ptr = indptr + np.arange(n + 1)
     # fingerprint of N[v]: the sum of its vertices' keys, mod 2**64
     fp = np.add.reduceat(_mix_keys(ids)[closed], closed_ptr[:-1])
-    by_fp = np.argsort(fp, kind="stable")
-    first = np.ones(n, dtype=bool)
-    first[1:] = fp[by_fp[1:]] != fp[by_fp[:-1]]
-    # the least vertex of each group: its first in by_fp, ties being by id
-    least = np.empty(n, dtype=np.int64)
-    least[by_fp] = by_fp[np.maximum.accumulate(np.where(first, ids, 0))]
+    least = _least_of_groups(fp)
     cand = np.flatnonzero((least != ids) & (deg == deg[least]))
     # compare each candidate's closed row with its group's least vertex's,
     # slot by slot; every other row is compared with itself

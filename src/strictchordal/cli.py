@@ -6,20 +6,20 @@ cannot be written, 3 input outside the class (not
 connected / not chordal / not strictly chordal, witness on stderr),
 4 oracle disagreement found by ``check``.  stdout carries only the report;
 diagnostics and debug dumps go to stderr.
+
+Only ``analyze``'s path is imported with this module: the parser builder and
+the ``oracle``, ``check``, ``gen`` and ``bench`` commands import their
+helpers (argparse, the oracles, the generator) when they run.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
 import json
-import random
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import generator, oracle
 from .chordal import build_clique_tree, minimal_vertex_separators
 from .errors import (
     CompleteGraphError,
@@ -190,6 +190,9 @@ def _oracle_result_doc(result, g, kind):
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
+    cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
     g = _load_graph(args.path)
     doc = {"n": g.n, "m": g.m, "mode": "separator_unions" if args.class_fast else "full"}
     try:
@@ -199,8 +202,8 @@ def cmd_oracle(args) -> int:
             sc = oracle.restricted_scattering(g, seps)
             tau = oracle.restricted_toughness(g, seps)
         else:
-            sc = oracle.brute_force_scattering(g, cap=args.cap)
-            tau = oracle.brute_force_toughness(g, cap=args.cap)
+            sc = oracle.brute_force_scattering(g, cap=cap)
+            tau = oracle.brute_force_toughness(g, cap=cap)
         doc["scattering"] = _oracle_result_doc(sc, g, "scattering")
         doc["toughness"] = _oracle_result_doc(tau, g, "toughness")
     except CompleteGraphError:
@@ -214,6 +217,10 @@ def cmd_oracle(args) -> int:
 
 def _random_capped_graph(seed: int, trial: int, max_n: int):
     """Deterministic small strictly chordal instance with n <= max_n."""
+    import random
+
+    from . import generator
+
     attempt = 0
     while True:
         rng = random.Random((seed * 1_000_003 + trial) * 1_000_003 + attempt)
@@ -231,6 +238,8 @@ def _random_capped_graph(seed: int, trial: int, max_n: int):
 
 def _check_one(g: Graph, max_n: int):
     """None if analyze() agrees with both oracles on g, else a message."""
+    from . import oracle
+
     report = analyze(g)
     try:
         sc_ref = oracle.brute_force_scattering(g, cap=max_n)
@@ -255,6 +264,8 @@ def _check_one(g: Graph, max_n: int):
 
 
 def cmd_check(args) -> int:
+    from . import oracle
+
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
     if args.max_n < 2:  # no generated graph is smaller
@@ -275,6 +286,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generator
+
     params = generator.GenParams(
         seed=args.seed,
         block_count=args.blocks,
@@ -293,6 +306,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import gc
+
+    from . import generator
+
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ParseError("--sizes needs a comma-separated list of target sizes")
@@ -341,7 +358,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="strictchordal",
         description="Toughness, scattering number and scattering sets of "
@@ -360,8 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force scattering number and toughness")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                   help="size cap in vertices (default %(default)s)")
+    # None stands for oracle.DEFAULT_CAP, so building the parser does not
+    # import the oracles; a test holds this help text to that value
+    p.add_argument("--cap", type=int, default=None,
+                   help="size cap in vertices (default 20)")
     p.add_argument("--class-fast", action="store_true",
                    help="restrict candidates to unions of minimal vertex separators")
     p.set_defaults(func=cmd_oracle)

@@ -125,7 +125,7 @@ def parse_graph(text: str) -> Graph:
     return _scan(text) or _fault(text)
 
 
-_BLOCK = 2**15  # ids per block of the gather in ``_scan`` and of ``_scan_ints``: L2-sized
+_BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``_scan`` and ``_scan_ints``: L2-sized
 
 
 def _scan(text: str) -> Graph | None:
@@ -244,17 +244,24 @@ def _tokens(buf):
     head[1:] = _breaks(buf[ends[:-1]])  # the first byte of each gap
     # whitespace outside the gaps: before the first token and after the last
     outside = len(buf) - ends[-1] + starts[0] if len(bounds) else 0
-    if whitespace - outside > len(bounds) - 1:  # some gap has two bytes or more
-        last = starts[1:] - 1
-        head[1:] |= _breaks(buf[last])
-        wide = np.subtract(last, ends[:-1], out=last) > 1  # three bytes or more
-        del last
-        wide &= ~head[1:]
-        if wide.any():
-            gap = wide.nonzero()[0]
+    # some gap has two bytes or more
+    if len(bounds) > 1 and whitespace - outside > len(bounds) - 1:
+        # the gaps before tokens lo..hi - 1, _BLOCK at a time: their last
+        # bytes' positions go to one reused buffer
+        last = np.empty(min(len(bounds) - 1, _BLOCK), dtype=np.int64)
+        wide = []  # tokens after an unsettled gap of three bytes or more
+        for lo in range(1, len(bounds), _BLOCK):
+            hi = min(lo + _BLOCK, len(bounds))
+            at = np.subtract(starts[lo:hi], 1, out=last[:hi - lo])
+            opens = head[lo:hi]
+            opens |= _breaks(buf[at])
+            np.subtract(at, ends[lo - 1:hi - 1], out=at)  # the gap's width - 1
+            wide.append(((at > 1) & ~opens).nonzero()[0] + lo)
+        wide = np.concatenate(wide)
+        if len(wide):
             breaks = _breaks(buf).nonzero()[0]
-            head[gap + 1] = (breaks.searchsorted(starts[gap + 1])
-                             > breaks.searchsorted(ends[gap]))
+            head[wide] = (breaks.searchsorted(starts[wide])
+                          > breaks.searchsorted(ends[wide - 1]))
     return bounds, head
 
 

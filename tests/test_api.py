@@ -2,10 +2,17 @@
 and README must name every entry.  Adding, removing or renaming a public
 name fails here until this list and README are changed with it."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import strictchordal
+
+FIG1 = Path(__file__).parent / "fixtures" / "fig1.gr"
 
 PUBLIC = [
     "CASE_COMPLETE",
@@ -57,3 +64,45 @@ def test_readme_names_every_public_name():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     quoted = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)", readme))
     assert [name for name in PUBLIC if name not in quoted] == []
+
+
+def test_star_import_dir_and_unknown_names():
+    names = {}
+    exec("from strictchordal import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(strictchordal))
+    with pytest.raises(AttributeError, match="module 'strictchordal' has no attribute 'nope'"):
+        strictchordal.nope
+
+
+def _modules_after(code):
+    """The names in sys.modules of a fresh interpreter that ran ``code``."""
+    src = str(Path(strictchordal.__file__).resolve().parent.parent)
+    code += "\nimport sys\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_analysis_path_loads_neither_oracles_nor_generator():
+    # the library path: parse, analyze, report
+    loaded = _modules_after(f"""
+import strictchordal
+from strictchordal.cli import report_document
+g = strictchordal.parse_graph(open({str(FIG1)!r}).read())
+report_document(g, strictchordal.analyze(g))
+""")
+    assert {"strictchordal.vulnerability", "strictchordal.cli"} <= loaded
+    assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle", "argparse"})
+    # python -m strictchordal analyze fig1.gr
+    loaded = _modules_after(f"""
+import runpy, sys
+sys.argv = ["strictchordal", "analyze", {str(FIG1)!r}]
+try:
+    runpy.run_module("strictchordal", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+""")
+    assert {"strictchordal.vulnerability", "argparse"} <= loaded
+    assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle"})

@@ -9,7 +9,7 @@ import pytest
 import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
-from strictchordal import serialize_graph, vulnerability
+from strictchordal import oracle, serialize_graph, vulnerability
 from strictchordal.cli import main
 from strictchordal.errors import GraphError
 
@@ -217,6 +217,14 @@ def test_oracle_too_large(capsys):
     assert "exceeds" in err
 
 
+def test_oracle_help_shows_the_default_cap(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--help"])
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"size cap in vertices (default {oracle.DEFAULT_CAP})" in out
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "g.gr"
     code, _, err = run_cli(capsys, "gen", "--seed", "11", "--blocks", "4",
@@ -351,24 +359,30 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["scattering"]["number"] == 5
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["check", "--count", "1", "--max-n", "1", "--seed", "1"], {}),  # hung
-    (["check", "--count", "1", "--max-n", "0", "--seed", "1"], {}),  # hung
-    (["check", "--count", "-3", "--max-n", "8", "--seed", "1"], {}),
-    (["gen", "--seed", "1", "--blocks", "0"], {}),
-    (["gen", "--seed", "1", "--max-block", "1"], {}),
-    (["gen", "--seed", "1", "--target-n", "1000000000000"], {}),  # unbounded allocation
-    (["gen", "--seed", "1", "--blocks", "5000000"], {}),
-    (["gen", "--seed", "1", "--max-block", "2000000"], {}),
-    (["gen", "--seed", "1", "--target-n", "100", "--max-block", "2000000"], {}),
-    (["bench", "--sizes", "10,abc", "--seed", "1"], {}),
-    (["bench", "--sizes", "0", "--seed", "1"], {}),
-])
-def test_bad_option_values_exit_2(argv, env):
+BAD_OPTION_VALUES = [
+    ["check", "--count", "1", "--max-n", "1", "--seed", "1"],  # hung
+    ["check", "--count", "1", "--max-n", "0", "--seed", "1"],  # hung
+    ["check", "--count", "-3", "--max-n", "8", "--seed", "1"],
+    ["gen", "--seed", "1", "--blocks", "0"],
+    ["gen", "--seed", "1", "--max-block", "1"],
+    ["gen", "--seed", "1", "--target-n", "1000000000000"],  # unbounded allocation
+    ["gen", "--seed", "1", "--blocks", "5000000"],
+    ["gen", "--seed", "1", "--max-block", "2000000"],
+    ["gen", "--seed", "1", "--target-n", "100", "--max-block", "2000000"],
+    ["bench", "--sizes", "10,abc", "--seed", "1"],
+    ["bench", "--sizes", "0", "--seed", "1"],
+]
+
+
+# the ids keep the names these cases had when they also set environment
+# variables
+@pytest.mark.parametrize("argv", BAD_OPTION_VALUES,
+                         ids=[f"argv{i}-env{i}" for i in range(len(BAD_OPTION_VALUES))])
+def test_bad_option_values_exit_2(argv):
     # in a subprocess with a timeout, so that a hang fails instead of stalling
     src = str(Path(strictchordal.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-m", "strictchordal", *argv],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, **env, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr

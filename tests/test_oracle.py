@@ -76,7 +76,7 @@ def test_complete_graph_raises():
         brute_force_scattering(complete_graph(1))
 
 
-def test_size_cap_and_env_override():
+def test_explicit_cap_below_n_raises_too_large():
     g = random_strictly_chordal(corpus_params(3))
     with pytest.raises(TooLargeError):
         brute_force_scattering(g, cap=g.n - 1)

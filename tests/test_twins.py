@@ -107,6 +107,37 @@ def test_quotient_classes_are_exact():
             assert h is g
 
 
+def _stable_least_of_groups(fp):
+    """Each vertex's group's least vertex as the first of its group in a
+    stable sort by fingerprint, ties being by id."""
+    by_fp = np.argsort(fp, kind="stable")
+    first = np.ones(len(fp), dtype=bool)
+    first[1:] = fp[by_fp[1:]] != fp[by_fp[:-1]]
+    least = np.empty(len(fp), dtype=np.int64)
+    least[by_fp] = by_fp[np.maximum.accumulate(np.where(first, np.arange(len(fp)), 0))]
+    return least
+
+
+@pytest.mark.parametrize("keys", ["mixed", "parity", "zero"])
+def test_quotient_is_the_stable_sorts_quotient(keys, monkeypatch):
+    # parity keys make many fingerprints tie, zero keys make all of them tie
+    if keys == "parity":
+        monkeypatch.setattr(chordal, "_mix_keys", lambda ids: (ids % 2).astype(np.uint64))
+    elif keys == "zero":
+        monkeypatch.setattr(chordal, "_mix_keys", lambda ids: np.zeros(len(ids), dtype=np.uint64))
+    rng = random.Random(8)
+    graphs = quotient_graphs()
+    graphs += [plant_twins(random_graph(rng, 60, 0.1), rng, 40) for _ in range(5)]
+    for g in graphs:
+        h, *arrays = true_twin_quotient(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(chordal, "_least_of_groups", _stable_least_of_groups)
+            h_ref, *ref = true_twin_quotient(g)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, ref))
+        assert all(np.array_equal(x, y) for x, y in zip(h.csr(), h_ref.csr()))
+        assert (h.n, h.id_base) == (h_ref.n, h_ref.id_base)
+
+
 def test_quotient_of_false_twins_only_is_the_graph():
     # equal open neighbourhoods without the edge between them are no true twins
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
