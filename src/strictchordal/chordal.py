@@ -6,13 +6,13 @@ minimal-vertex-separator multiset all fall out of one pass over the ordering.
 The edge-heavy steps run on numpy arrays so large instances stay cheap.
 
 The search, the clique tree and the separator rows may run on the true-twin
-quotient of a graph (``true_twin_quotient``: one vertex per class of equal
-closed neighbourhoods); the ``CliqueTree`` keeps the classes and spreads
-them into vertices only where cliques and separators are read out.  Every
-maximal clique and minimal separator of a graph is a union of such classes,
-and adding a true twin creates no chordless cycle, so the quotient has the
-same cliques, separators, connectivity and chordality, on far fewer edges
-when the classes are large (as in block graphs with true twins added).
+quotient (``true_twin_quotient``: one vertex per class of equal closed
+neighbourhoods, certified by counting edges between classes); the
+``CliqueTree`` keeps the classes and spreads them into vertices only where
+cliques and separators are read out.  Every maximal clique and minimal
+separator is a union of such classes, and adding a true twin creates no
+chordless cycle, so the quotient has the same cliques, separators,
+connectivity and chordality, on far fewer edges when the classes are large.
 """
 
 from __future__ import annotations
@@ -203,56 +203,51 @@ def true_twin_quotient(g: Graph):
     rest ascending.  ``h`` is g induced on ``reps``, with ``reps[x]``
     renumbered x; it is g itself when no vertex has a twin.
 
-    Vertices are grouped by a 64-bit fingerprint of the closed neighbourhood
-    (the sum of its members' keys), and each grouping is then checked
-    exactly: v joins the least vertex r of its group only if their sorted
-    closed neighbourhoods agree entry by entry, which holds iff r is a
-    neighbour of v, deg v = deg r and every other neighbour of v is one of
-    r.  A vertex that fails is a class of its own, so a fingerprint
-    collision costs compression, never correctness.  Reads only the CSR
-    arrays.
+    v joins the least vertex sharing its 64-bit fingerprint of the closed
+    neighbourhood (the sum of its members' keys) if their degrees agree.
+    Counting the CSR entries between each pair of classes certifies them:
+    a class A of two or more vertices must hold |A|(|A| - 1) (a clique),
+    classes A != B none or |A||B| (all or nothing).  If a count fails,
+    which takes a fingerprint collision, every vertex is a class of its
+    own: a collision costs compression, never correctness.
     """
     n = g.n
     indptr, indices = g.csr()
     deg = np.diff(indptr)
     ids = np.arange(n, dtype=np.int64)
-    # closed rows: row v of the CSR with v itself inserted in order.  Every
-    # slot of row v starts as v; its neighbours then fill all but v's own.
-    tails = np.repeat(ids, deg)
-    closed = np.repeat(ids, deg + 1)
-    slots = np.arange(len(closed))
-    dest = tails + (indices > tails)
-    dest += slots[:len(indices)]
-    closed[dest] = indices
-    closed_ptr = indptr + np.arange(n + 1)
-    # fingerprint of N[v]: the sum of its vertices' keys, mod 2**64
-    fp = np.add.reduceat(_mix_keys(ids)[closed], closed_ptr[:-1])
+    # fingerprint of N[v]: v's key plus its row's, from wrapping prefix sums
+    fp = _mix_keys(ids)
+    acc = np.zeros(len(indices) + 1, dtype=np.uint64)
+    np.cumsum(fp[indices], out=acc[1:])
+    fp += acc[indptr[1:]] - acc[indptr[:-1]]
+    del acc
     least = _least_of_groups(fp)
-    cand = np.flatnonzero((least != ids) & (deg == deg[least]))
-    # compare each candidate's closed row with its group's least vertex's,
-    # slot by slot; every other row is compared with itself
-    shift = np.zeros(n, dtype=np.int64)
-    shift[cand] = closed_ptr[least[cand]] - closed_ptr[cand]
-    partner = closed[slots + np.repeat(shift, deg + 1)]
-    differs = np.logical_or.reduceat(closed != partner, closed_ptr[:-1])
-    joins = cand[~differs[cand]]
-    rep = ids.copy()
-    rep[joins] = least[joins]
+    rep = np.where(deg == deg[least], least, ids)
     is_rep = rep == ids
     reps = np.flatnonzero(is_rep)
     k = len(reps)
     if k == n:
         return g, ids, np.arange(n + 1, dtype=np.int64), ids
-    qid = np.cumsum(is_rep) - 1  # the quotient id, read at representatives
+    cls = (np.cumsum(is_rep) - 1)[rep]
+    size = np.bincount(cls, minlength=k)
+    # every CSR entry labelled with its class pair; sorted, each pair is a run
+    pairs = np.repeat(cls * k, deg)
+    pairs += cls[indices]
+    pairs.sort()
+    last = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=last[:-1])
+    ends = last.nonzero()[0] + 1
+    a, b = np.divmod(pairs[ends - 1], k)
+    inner = a == b
+    if (np.count_nonzero(inner) != np.count_nonzero(size > 1)
+            or (np.cumsum(size[a] * (size[b] - inner)) != ends).any()):
+        return g, ids, np.arange(n + 1, dtype=np.int64), ids
     class_ptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(qid[rep], minlength=k), out=class_ptr[1:])
-    # rows of the representatives, kept where the head is one too; the
-    # renumbering keeps order, so each row stays ascending
-    keep = np.flatnonzero(is_rep[tails] & is_rep[indices])
-    h_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(qid[tails[keep]], minlength=k), out=h_indptr[1:])
-    h = Graph._from_csr(h_indptr, qid[indices[keep]], g.id_base)
-    return h, reps, class_ptr, np.argsort(rep, kind="stable")
+    np.cumsum(size, out=class_ptr[1:])
+    # h's rows are the runs between two classes, ascending by pair
+    h_indptr = np.searchsorted(a[~inner], np.arange(k + 1))
+    h = Graph._from_csr(h_indptr, b[~inner], g.id_base)
+    return h, reps, class_ptr, np.argsort(cls, kind="stable")
 
 
 @dataclass

@@ -237,7 +237,7 @@ def _random_capped_graph(seed: int, trial: int, max_n: int):
 
 
 def _check_one(g: Graph, max_n: int):
-    """None if analyze() agrees with both oracles on g, else a message."""
+    """analyze()'s case on g, and None if it agrees with both oracles or else a message."""
     from . import oracle
 
     report = analyze(g)
@@ -245,22 +245,22 @@ def _check_one(g: Graph, max_n: int):
         sc_ref = oracle.brute_force_scattering(g, cap=max_n)
     except CompleteGraphError:
         if report.case != CASE_COMPLETE:
-            return f"oracle says complete, analyze says {report.case}"
-        return None
+            return report.case, f"oracle says complete, analyze says {report.case}"
+        return report.case, None
     if report.case == CASE_COMPLETE:
-        return "analyze says complete, oracle found a separator"
+        return report.case, "analyze says complete, oracle found a separator"
     tau_ref = oracle.brute_force_toughness(g, cap=max_n)
     if report.scattering_number != sc_ref.value:
-        return f"scattering {report.scattering_number} != oracle {sc_ref.value}"
+        return report.case, f"scattering {report.scattering_number} != oracle {sc_ref.value}"
     if report.toughness != tau_ref.value:
-        return f"toughness {report.toughness} != oracle {tau_ref.value}"
+        return report.case, f"toughness {report.toughness} != oracle {tau_ref.value}"
     count, _ = connected_components(g, report.scattering_set)
     if count - len(report.scattering_set) != report.scattering_number:
-        return "scattering set does not witness the reported number"
+        return report.case, "scattering set does not witness the reported number"
     count, _ = connected_components(g, report.tough_set)
     if count < 2 or Fraction(len(report.tough_set), count) != report.toughness:
-        return "tough set does not witness the reported toughness"
-    return None
+        return report.case, "tough set does not witness the reported toughness"
+    return report.case, None
 
 
 def cmd_check(args) -> int:
@@ -272,16 +272,21 @@ def cmd_check(args) -> int:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     if args.max_n > oracle.DEFAULT_CAP:
         raise TooLargeError(f"--max-n {args.max_n} exceeds the oracle cap {oracle.DEFAULT_CAP}")
+    cases, sizes = {}, []
     for trial in range(args.count):
         g, params = _random_capped_graph(args.seed, trial, args.max_n)
-        message = _check_one(g, args.max_n)
+        case, message = _check_one(g, args.max_n)
         if message is not None:
             print(f"trial {trial} ({params}): {message}", file=sys.stderr)
             out = Path(args.dump_dir) / f"counterexample-trial{trial}.gr"
             out.write_text(serialize_graph(g))
             print(f"counterexample written to {out}", file=sys.stderr)
             return EXIT_MISMATCH
-    print(f"{args.count}/{args.count} agree")
+        cases[case] = cases.get(case, 0) + 1
+        sizes.append(g.n)
+    print(f"{args.count}/{args.count} agree with brute_force_scattering and brute_force_toughness")
+    print("cases:", " ".join(f"{case}={k}" for case, k in sorted(cases.items())) or "none")
+    print("n range:", f"{min(sizes)}..{max(sizes)}" if sizes else "none")
     return EXIT_OK
 
 
@@ -323,7 +328,7 @@ def cmd_bench(args) -> int:
         generator.GenParams(seed=args.seed, target_n=2000,
                             max_block_size=args.max_block, max_twins=args.max_twins))
     stage_names = list(analyze(warm).timings)
-    print(f"{'target':>9} {'n':>9} {'m':>10} {'case':>11} {'time_s':>9} "
+    print(f"{'target':>9} {'n':>9} {'classes':>9} {'m':>10} {'case':>11} {'time_s':>9} "
           f"{'us_per_nm':>10} {'parse_s':>9} {'ratio':>6} "
           + " ".join(f"{stage:>13}" for stage in stage_names))
     prev = None
@@ -339,7 +344,7 @@ def cmd_bench(args) -> int:
                 tick = time.perf_counter()
                 report = analyze(g)
                 elapsed = time.perf_counter() - tick
-                case = report.case
+                case, classes = report.case, len(report.clique_tree.class_ptr) - 1
                 if elapsed < best:
                     best = elapsed
                     stages = report.timings
@@ -352,7 +357,7 @@ def cmd_bench(args) -> int:
                     gc.enable()
         ratio = "" if prev is None else f"{best / prev:.2f}"
         prev = best
-        print(f"{size:>9} {g.n:>9} {g.m:>10} {case:>11} {best:>9.3f} "
+        print(f"{size:>9} {g.n:>9} {classes:>9} {g.m:>10} {case:>11} {best:>9.3f} "
               f"{best / (g.n + g.m) * 1e6:>10.3f} {best_parse:>9.3f} {ratio:>6} "
               + " ".join(f"{stages[stage]:>13.3f}" for stage in stage_names))
     return EXIT_OK

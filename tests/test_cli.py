@@ -10,7 +10,7 @@ import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
 from strictchordal import oracle, serialize_graph, vulnerability
-from strictchordal.cli import main
+from strictchordal.cli import _random_capped_graph, main
 from strictchordal.errors import GraphError
 
 REQUIRED_KEYS = {"n", "m", "chordal", "strictly_chordal", "separators",
@@ -256,7 +256,24 @@ def test_check_agrees(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--count", "25", "--max-n", "12",
                            "--seed", "7")
     assert code == 0
-    assert "25/25 agree" in out
+    agree, cases, n_range = out.splitlines()
+    assert agree == "25/25 agree with brute_force_scattering and brute_force_toughness"
+    # the coverage lines describe the trials check ran
+    graphs = [_random_capped_graph(7, trial, 12)[0] for trial in range(25)]
+    expected = {}
+    for g in graphs:
+        case = analyze(g).case
+        expected[case] = expected.get(case, 0) + 1
+    assert cases == "cases: " + " ".join(f"{c}={k}" for c, k in sorted(expected.items()))
+    assert len(expected) >= 3
+    sizes = [g.n for g in graphs]
+    assert n_range == f"n range: {min(sizes)}..{max(sizes)}" and max(sizes) <= 12
+
+
+def test_check_of_no_trials_reports_no_range(capsys):
+    code, out, _ = run_cli(capsys, "check", "--count", "0", "--max-n", "5", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["cases: none", "n range: none"]
 
 
 def test_check_single_tiny(capsys):
@@ -296,7 +313,8 @@ def test_check_detects_injected_fault(capsys, tmp_path, monkeypatch):
 
 
 def test_check_dump_into_a_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("strictchordal.cli._check_one", lambda g, max_n: "injected mismatch")
+    monkeypatch.setattr("strictchordal.cli._check_one",
+                        lambda g, max_n: ("type_b", "injected mismatch"))
     dump_dir = tmp_path / "no_such_dir"
     code, out, err = run_cli(capsys, "check", "--count", "3", "--max-n", "8",
                              "--seed", "1", "--dump-dir", str(dump_dir))
@@ -319,10 +337,20 @@ def test_bench_smoke(capsys):
     assert code == 0
     lines = [line for line in out.splitlines() if line.strip()]
     assert len(lines) == 3  # header + one row per size
-    assert "time_s" in lines[0]
-    # after the eight totals, one column per stage analyze() times, in its order
+    header = lines[0].split()
+    assert header[:3] == ["target", "n", "classes"] and "time_s" in header
+    # after the nine totals, one column per stage analyze() times, in its order
     stages = list(analyze(parse_graph(Path(fixture("fig2_g2.gr")).read_text())).timings)
-    assert lines[0].split()[8:] == stages
+    assert header[9:] == stages
+    # classes: the vertices the twin quotient leaves, at most n
+    for line, params in zip(lines[1:], [GenParams(seed=3, target_n=300, max_block_size=6,
+                                                  max_twins=1),
+                                        GenParams(seed=4, target_n=600, max_block_size=6,
+                                                  max_twins=1)]):
+        g = random_strictly_chordal(params)
+        row = line.split()
+        assert int(row[1]) == g.n
+        assert int(row[2]) == len(analyze(g).clique_tree.class_ptr) - 1 < g.n
 
 
 @pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
@@ -339,8 +367,8 @@ def test_bench_per_element_cost_stable_across_runs(capsys):
         code, out, _ = run_cli(capsys, "bench", "--sizes", "2000", "--seed", "3",
                                "--repeat", "3")
         assert code == 0
-        row = [line for line in out.splitlines() if line.strip()][1]
-        costs.append(float(row.split()[5]))
+        header, row = [line.split() for line in out.splitlines() if line.strip()]
+        costs.append(float(row[header.index("us_per_nm")]))
     assert max(costs) / min(costs) < 3.0, costs
 
 

@@ -16,6 +16,7 @@ from conftest import (
     cycle_graph,
     load_fixture,
     neighbours,
+    path_graph,
     random_graph,
     rows,
 )
@@ -89,22 +90,56 @@ def classes_of(class_ptr, members):
     return [members[a:b].tolist() for a, b in zip(class_ptr, class_ptr[1:])]
 
 
+def _assert_quotient_is_exact(g: Graph):
+    h, reps, class_ptr, members = true_twin_quotient(g)
+    expected = reference_classes(g)
+    assert classes_of(class_ptr, members) == expected
+    assert reps.tolist() == [c[0] for c in expected]
+    # h is g induced on the representatives, renumbered in order
+    qid = {v: x for x, v in enumerate(reps.tolist())}
+    induced = Graph(len(reps), [(qid[u], qid[v]) for u, v in g.edges()
+                                if u in qid and v in qid])
+    assert (h.n, h.m) == (induced.n, induced.m)
+    for mine, ref in zip(h.csr(), induced.csr()):
+        assert mine.dtype == np.int64 and np.array_equal(mine, ref)
+    assert h.id_base == g.id_base
+    if len(reps) == g.n:
+        assert h is g
+
+
 def test_quotient_classes_are_exact():
     for g in quotient_graphs():
-        h, reps, class_ptr, members = true_twin_quotient(g)
-        expected = reference_classes(g)
-        assert classes_of(class_ptr, members) == expected
-        assert reps.tolist() == [c[0] for c in expected]
-        # h is g induced on the representatives, renumbered in order
-        qid = {v: x for x, v in enumerate(reps.tolist())}
-        induced = Graph(len(reps), [(qid[u], qid[v]) for u, v in g.edges()
-                                    if u in qid and v in qid])
-        assert (h.n, h.m) == (induced.n, induced.m)
-        for mine, ref in zip(h.csr(), induced.csr()):
-            assert mine.dtype == np.int64 and np.array_equal(mine, ref)
-        assert h.id_base == g.id_base
-        if len(reps) == g.n:
-            assert h is g
+        _assert_quotient_is_exact(g)
+
+
+@pytest.fixture(scope="module")
+def clique_chain():
+    """130 cliques of 30 vertices in a chain, each sharing one vertex with
+    the next, and 250 true twins planted at random: n = 4,021, the shape of
+    perfbench's dense_chain workload."""
+    edges, start = [], 0
+    for _ in range(130):
+        edges += combinations(range(start, start + 30), 2)
+        start += 29
+    return plant_twins(Graph(start + 1, edges), random.Random(31), 250)
+
+
+def test_quotient_classes_are_exact_on_a_clique_chain(clique_chain):
+    _assert_quotient_is_exact(clique_chain)
+    assert len(true_twin_quotient(clique_chain)[1]) < clique_chain.n // 5
+
+
+def test_quotient_memory_stays_within_four_times_the_csr(clique_chain):
+    # counting entries per class pair needs about twice the CSR; closed
+    # rows with their slot maps would need over six times
+    csr_bytes = sum(a.nbytes for a in clique_chain.csr())
+    tracemalloc.start()
+    try:
+        true_twin_quotient(clique_chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * csr_bytes, peak / csr_bytes
 
 
 def _stable_least_of_groups(fp):
@@ -143,6 +178,30 @@ def test_quotient_of_false_twins_only_is_the_graph():
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     h, reps, _, _ = true_twin_quotient(g)
     assert h is g and reps.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("g", [
+    # equal open neighbourhoods, not adjacent: the class holds 8 of the 12
+    # entries a 4-clique needs
+    Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+    # leaves of a path: a class of two with no entry of its own
+    Graph(3, [(0, 2), (1, 2)]),
+    Graph(3),
+    # 0 and 1 are true twins and 2 has their degree: {0, 1, 2} is a clique,
+    # but 3 sees two of its three vertices and 4 one
+    Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)]),
+    path_graph(6),
+], ids=["k22", "path_leaves", "edgeless", "cross_pair", "twin_free"])
+def test_a_failed_count_leaves_every_vertex_alone(g, monkeypatch):
+    # with every key zero, each vertex of the degree of vertex 0 joins it;
+    # one of the two counts must refuse that class
+    expected = outcome(g)
+    monkeypatch.setattr(chordal, "_mix_keys", lambda ids: np.zeros(len(ids), dtype=np.uint64))
+    h, reps, class_ptr, members = true_twin_quotient(g)
+    assert h is g
+    assert reps.tolist() == members.tolist() == list(range(g.n))
+    assert class_ptr.tolist() == list(range(g.n + 1))
+    assert outcome(g) == expected
 
 
 def test_class_clique_tree_is_a_clique_tree_of_the_graph():
