@@ -10,46 +10,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_COMPLETE",
-    "CASE_SINGLE_MVS",
-    "CASE_TOUGH_GE_1",
-    "CASE_TYPE_A",
-    "CASE_TYPE_B",
-    "CliqueTree",
-    "CompleteGraphError",
-    "GenParams",
-    "Graph",
-    "GraphError",
-    "InternalError",
-    "NotChordalError",
-    "NotConnectedError",
-    "NotStrictlyChordalError",
-    "OracleResult",
-    "ParseError",
-    "Separators",
-    "TooLargeError",
-    "VulnerabilityReport",
-    "analyze",
-    "brute_force_scattering",
-    "brute_force_toughness",
-    "build_clique_tree",
-    "classify",
-    "connected_components",
-    "mcs_order",
-    "minimal_vertex_separators",
-    "parse_graph",
-    "random_strictly_chordal",
-    "restricted_scattering",
-    "restricted_toughness",
-    "scattering_set_type_b",
-    "scattering_tough_ge_1",
-    "serialize_graph",
-    "toughness",
-    "verify_peo",
-]
-
-
 # each public name and the submodule that defines it: ``__getattr__``
 # imports the submodule on first access, so a call loads only what it uses
 _MODULE_OF = {
@@ -90,6 +50,7 @@ _MODULE_OF = {
     "toughness": "vulnerability",
     "verify_peo": "chordal",
 }
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):

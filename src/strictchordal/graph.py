@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalError, ParseError
+from .errors import ParseError
 
 # Largest vertex count a graph may declare.  It bounds what a header line can
 # make the parser allocate, and keeps the edge keys tail * n + head in int64.
@@ -118,25 +118,18 @@ def parse_graph(text: str) -> Graph:
 
     Only ASCII whitespace separates tokens and only ASCII line breaks end
     lines; any other character, a lone surrogate too, is part of a token.
-    The text's UTF-8 bytes are read by one numpy scan, and text the scan
-    rejects goes to ``_fault``, which raises the ParseError naming the first
-    faulty line.
+    The text's UTF-8 bytes are read by one numpy scan, whose checks run as
+    array masks over the tokens and die before the graph is built (held
+    longer, they cost repeated calls fresh pages).  The ParseError names the
+    first faulty line, and the first check it fails in the order: line kind,
+    token count, header numbers, vertex count, ids (u before v), id range,
+    self-loop.
     """
-    return _scan(text) or _fault(text)
-
-
-_BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``_scan`` and ``_scan_ints``: L2-sized
-
-
-def _scan(text: str) -> Graph | None:
-    """Graph of ``text``, or None where ``_fault`` raises: its checks run as
-    array masks over the tokens of the text's UTF-8 bytes, which die before
-    the graph is built (held longer, they cost repeated calls fresh pages).
-    """
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    data = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data, dtype=np.uint8)
     bounds, head = _tokens(buf)
     if len(bounds) == 0:
-        return None
+        raise ParseError("empty input")
     first = head.nonzero()[0]  # first token of each non-blank line
     del head
     starts, ends = bounds.T
@@ -151,30 +144,51 @@ def _scan(text: str) -> Graph | None:
     def token(i):
         return buf[starts[i]:ends[i]].tobytes()
 
+    def fault(message, at):  # the ParseError naming the line of byte ``at``
+        return ParseError(message, _line_no(data, at))
+
+    # A fault on the header line raises at once.  A later line of the wrong
+    # kind or token count is held in ``pending`` while the ids of the lines
+    # before it are read, and is raised only if they hold no fault.
+    pending, stop = None, len(first)
     if single[0] and int(lead[0]) in b"cp":
         # DIMACS-like: past the comment lines, one p line, then e lines
         body = ~(single & (lead == ord("c")))
         p = int(body.argmax())  # the first line that is not a comment
-        edge = single & (lead == ord("e")) & (count == 3)
-        if not (body[p] and single[p] and lead[p] == ord("p") and count[p] == 4
-                and token(first[p] + 1) == b"edge" and (edge | ~body)[p + 1:].all()):
-            return None
+        if not body[p]:
+            raise ParseError("missing problem line")
+        ok = (single & (lead == ord("e")) & (count == 3)) | ~body
+        ok[p] = single[p] and lead[p] == ord("p") and count[p] == 4 and token(first[p] + 1) == b"edge"
+        if not ok.all():
+            stop = int(ok.argmin())
+            kind = token(first[stop])
+            message = _KIND_FAULTS.get(kind, (f"unknown line type {_text(kind)!r}",) * 2)[stop > p]
         body[:p + 1] = False
+        body[stop:] = False
         header, line, base = first[p] + 2, first[body], 1
         line += 1
-        del body, edge
+        what = "vertex count", "edge count", "vertex id"
+        del body
     else:  # plain: a header line and edge lines of two numbers each
-        if not (count == 2).all():
-            return None
-        header, line, base = first[0], first[1:], 0
-    del first, count, lead, single
-    try:
-        n = _parse_int(token(header), "vertex count", 0)
-        _parse_int(token(header + 1), "edge count", 0)
-    except ParseError:
-        return None
-    if not 0 <= n <= MAX_VERTICES:
-        return None
+        p, ok = 0, count == 2
+        if not ok.all():
+            stop, message = int(ok.argmin()), "expected two whitespace-separated integers"
+        header, line, base = first[0], first[1:stop], 0
+        what = "value", "value", "value"
+    if stop < len(first):
+        pending = fault(message, starts[first[stop]])
+        if stop == p:
+            raise pending
+    del first, count, lead, single, ok
+    n = _int(token(header))
+    for k, value in enumerate([n, _int(token(header + 1))]):
+        if value is None:
+            raise fault(f"expected integer {what[k]}, got {_text(token(header + k))!r}",
+                        starts[header])
+    if n < 0:
+        raise fault("vertex count must be non-negative", starts[header])
+    if n > MAX_VERTICES:
+        raise fault(f"vertex count exceeds {MAX_VERTICES}", starts[header])
     # Edge line j's ids are tokens t and t + 1, whose four bounds lie side by
     # side from bounds[t, 0]; read as one 32-byte item, they go to item j of
     # the same memory ([start, end] of u, then of v).  Each line has two tokens
@@ -186,15 +200,29 @@ def _scan(text: str) -> Graph | None:
         pairs[lo:lo + _BLOCK] = rows[line[lo:lo + _BLOCK]]
     ids = pairs.view(np.int64).reshape(-1, 2)
     del bounds, starts, ends, rows, pairs, line
-    values = _scan_ints(buf, ids[:, 0], ids[:, 1])
-    del buf, ids
-    if values is None:
-        return None
+    values, bad = _scan_ints(buf, ids[:, 0], ids[:, 1])
+    if bad < len(values):
+        start, end = ids[bad]
+        pending = fault(f"expected integer {what[2]}, got {_text(buf[start:end].tobytes())!r}", end)
+        values = values[:bad - bad % 2]  # the lines before it
     values -= base
     u, v = values[0::2], values[1::2]
     if len(values) and (values.min() < 0 or values.max() >= n or (u == v).any()):
-        return None
+        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        j = int((out | (u == v)).argmax())
+        raise fault(f"vertex id out of range {base}..{n + base - 1}" if out[j]
+                    else f"self-loop at vertex {u[j] + base}", ids[2 * j, 1])
+    if pending is not None:
+        raise pending
+    del data, buf, ids
     return Graph._from_arrays(n, u, v, base)
+
+
+# the fault of a p or e line that fails the DIMACS checks as the first line
+# past the comments, and as a later line
+_KIND_FAULTS = {b"p": ("problem line must be 'p edge <n> <m>'", "duplicate problem line"),
+                b"e": ("edge line before problem line", "edge line must be 'e <u> <v>'")}
+_BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``parse_graph`` and ``_scan_ints``: L2-sized
 
 
 def _between(buf, lo, hi):
@@ -207,9 +235,19 @@ def _spaces(buf):
     return _between(buf, 9, 13) | _between(buf, 28, 32)
 
 
+_BREAK_BYTES = b"\n\x0b\x0c\r\x1c\x1d\x1e"
+
+
 def _breaks(buf):
-    """Mask of the ASCII bytes ``str.splitlines()`` ends lines at."""
+    """Mask of the ASCII bytes ``str.splitlines()`` ends lines at, the
+    ``_BREAK_BYTES``."""
     return _between(buf, 10, 13) | _between(buf, 28, 30)
+
+
+def _line_no(data: bytes, at) -> int:
+    """Number of the line that holds byte ``at`` of ``data``: 1 plus the line
+    breaks before it, a CRLF counting once."""
+    return 1 + sum(data.count(c, 0, at) for c in _BREAK_BYTES) - data.count(b"\r\n", 0, at)
 
 
 def _tokens(buf):
@@ -266,34 +304,44 @@ def _tokens(buf):
 
 
 def _scan_ints(buf, starts, ends):
-    """The tokens ``buf[starts[i]:ends[i]]`` as int64 values, or None if one
-    is not ``-?[0-9]+`` or is beyond 18 digits once leading zeros are dropped
-    (too large for a vertex id).  Overwrites ``starts``.
+    """``(values, bad)``: the tokens ``buf[starts[i]:ends[i]]`` as int64
+    values, and the index of the first token that is not an integer, or
+    ``len(values)`` if every one is.  Values past the block of the bad token
+    are left 0.
+
+    An integer is ``-?[0-9]+`` that ``int()`` reads, as ``_int`` reads the
+    header's: ``int()`` caps the digits.  Leading zeros are dropped, and an
+    integer of more than 18 digits even then, beyond any vertex id, reads as
+    +-10**18.
 
     Ids are read right-aligned, ``_BLOCK`` at a time: where the block's
     widest id has w digits, pass k reads byte ``ends[i] - w + k`` of id i (0
-    before id i starts).  The digits are checked once, by their maximum.
+    before id i starts).  Each block's digits are checked once, by their
+    maximum.
     """
     value = np.zeros(len(starts), dtype=np.int64)
     neg = buf[starts] == ord("-")
-    starts += neg
-    width = np.subtract(ends, starts, out=starts)  # starts is not read again
-    for i in (width > 18).nonzero()[0]:
-        if (buf[ends[i] - width[i]:ends[i] - 18] != ord("0")).any():
-            return None
-        width[i] = 18
-    if width.min(initial=1) < 1:
-        return None
     block = min(len(value), _BLOCK)
-    top = np.zeros(block, dtype=np.uint8)  # largest digit per slot
     pos = np.empty(block, dtype=np.int64)
-    dig, lag = np.empty(block, dtype=np.uint8), np.empty(block, dtype=np.uint8)
+    top, dig, lag = np.empty(block, np.uint8), np.empty(block, np.uint8), np.empty(block, np.uint8)
     for lo in range(0, len(value), _BLOCK):
-        val, wid = value[lo:lo + _BLOCK], width[lo:lo + _BLOCK]
-        at, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
+        val, sign = value[lo:lo + _BLOCK], neg[lo:lo + _BLOCK]
+        wid, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
+        np.subtract(ends[lo:lo + _BLOCK], starts[lo:lo + _BLOCK], out=wid)
+        wid -= sign
+        huge = []
+        for i in (wid > 18).nonzero()[0]:
+            end = ends[lo + i]
+            if (buf[end - wid[i]:end - 18] != ord("0")).any():  # 19 digits past the zeros
+                if _int(buf[starts[lo + i]:end].tobytes()) is None:
+                    wid[i] = 0  # read as no digits: a bad token
+                    continue
+                huge.append(i)
+            wid[i] = 18
         w = int(wid.max())
-        np.subtract(ends[lo:lo + _BLOCK], w, out=at)
-        np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts
+        np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts: w if none
+        at = np.subtract(ends[lo:lo + _BLOCK], w, out=wid)  # the widths are not read again
+        most.fill(0)  # largest digit per id
         for k in range(w):
             buf.take(at, mode="clip", out=digit)
             digit -= np.uint8(ord("0"))  # wraps above 9 for non-digits
@@ -302,74 +350,20 @@ def _scan_ints(buf, starts, ends):
             val *= 10
             val += digit
             at += 1
-    if top.max(initial=0) > 9:
+        val[huge] = 10**18
+        np.negative(val, out=val, where=sign)
+        if skip.max() >= w or most.max() > 9:  # an id of no digits, or a non-digit
+            return value, lo + int(((skip >= w) | (most > 9)).argmax())
+    return value, len(value)
+
+
+def _int(token: bytes) -> int | None:
+    """``token`` as an int, or None if it is not ``-?[0-9]+`` (bytes.isdigit
+    is ASCII) or is beyond the interpreter's limit on digits."""
+    try:
+        return int(token) if token.removeprefix(b"-").isdigit() else None
+    except ValueError:
         return None
-    np.negative(value, out=value, where=neg)
-    return value
-
-
-def _fault(text: str):
-    """Raise the ParseError for the first faulty line of ``text``, which
-    ``_scan`` rejected.
-
-    Lines and tokens are cut where ``_tokens`` cuts them, and lines are
-    numbered from 1 at each line break, a CRLF counting once.  The lines are
-    walked in order with the format's checks.
-    """
-    data = text.encode("utf-8", "surrogatepass").replace(b"\r\n", b"\n")  # a CRLF ends one line
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # Each line break made "\n" and any other whitespace " ", so that
-    # split(b"\n") cuts the lines and split() their tokens.
-    marked = np.where(_spaces(buf), np.uint8(ord(" ")), buf)
-    marked[_breaks(buf)] = ord("\n")
-    marked = marked.tobytes()
-    dimacs = marked.split(maxsplit=1)[:1] in ([b"c"], [b"p"])
-    base, n = int(dimacs), None
-    for line_no, line in enumerate(marked.split(b"\n"), start=1):
-        line = line.split()
-        if not line or dimacs and line[0] == b"c":
-            continue
-        what = ("value", "value")
-        if dimacs:  # strip the kind; p and e lines then hold two numbers
-            kind = line.pop(0)
-            if kind == b"p":
-                if n is not None:
-                    raise ParseError("duplicate problem line", line_no)
-                if len(line) != 3 or line.pop(0) != b"edge":
-                    raise ParseError("problem line must be 'p edge <n> <m>'", line_no)
-            elif kind != b"e":
-                raise ParseError(f"unknown line type {_text(kind)!r}", line_no)
-            elif n is None:
-                raise ParseError("edge line before problem line", line_no)
-            elif len(line) != 2:
-                raise ParseError("edge line must be 'e <u> <v>'", line_no)
-            what = ("vertex count", "edge count") if n is None else ("vertex id", "vertex id")
-        elif len(line) != 2:
-            raise ParseError("expected two whitespace-separated integers", line_no)
-        a = _parse_int(line[0], what[0], line_no)
-        b = _parse_int(line[1], what[1], line_no)
-        if n is None:
-            if a < 0:
-                raise ParseError("vertex count must be non-negative", line_no)
-            if a > MAX_VERTICES:
-                raise ParseError(f"vertex count exceeds {MAX_VERTICES}", line_no)
-            n = a
-        elif not (base <= a < n + base and base <= b < n + base):
-            raise ParseError(f"vertex id out of range {base}..{n + base - 1}", line_no)
-        elif a == b:
-            raise ParseError(f"self-loop at vertex {a}", line_no)
-    if n is None:
-        raise ParseError("missing problem line" if dimacs else "empty input")
-    raise InternalError("the scan rejected a graph file with no faulty line")
-
-
-def _parse_int(token: bytes, what: str, line_no: int) -> int:
-    if token.removeprefix(b"-").isdigit():  # -?[0-9]+, as bytes.isdigit is ASCII
-        try:
-            return int(token)
-        except ValueError:  # beyond the interpreter's limit on digits
-            pass
-    raise ParseError(f"expected integer {what}, got {_text(token)!r}", line_no)
 
 
 def _text(token: bytes) -> str:

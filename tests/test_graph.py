@@ -1,4 +1,6 @@
+import contextlib
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from conftest import (load_fixture, neighbours, path_graph, complete_graph, rand
                       uf_components)
 from strictchordal import Graph, connected_components, parse_graph, serialize_graph
 from strictchordal import graph as graph_module
-from strictchordal.errors import InternalError, ParseError
+from strictchordal.errors import ParseError
 from strictchordal.generator import GenParams, random_strictly_chordal
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
@@ -48,6 +50,7 @@ def test_parse_comments_and_blank_lines():
 
 
 _LONG = "1" * 5000  # beyond the interpreter's limit on digits for int()
+_PADDED = "0" * 4400 + "1"
 PARSE_ERRORS = [
     ("p edge 3 2\ne 1 1\n", "line 2: self-loop at vertex 1"),
     ("p edge 3 2\ne 0 2\n", "line 2: vertex id out of range 1..3"),  # ids are 1-based
@@ -78,6 +81,8 @@ PARSE_ERRORS = [
     ("c a\r\n\rp edge 3 2\r\n\x0c\r\ne 1 2\r\r\ne 3 3\n", "line 8: self-loop at vertex 3"),
     (f"p edge 3 2\ne {_LONG} 2\n", f"line 2: expected integer vertex id, got '{_LONG}'"),
     (f"p edge 3 {_LONG}\n", f"line 1: expected integer edge count, got '{_LONG}'"),
+    # an id zero-padded past int()'s digit limit reads as its value
+    (f"3 2\n{_PADDED} 2\n0 0\n", "line 3: self-loop at vertex 0"),
 ]
 
 
@@ -106,16 +111,11 @@ def test_parse_reads_non_ascii_only_inside_tokens():
     assert str(info.value) == "line 2: expected integer vertex id, got '1\\ud800'"
 
 
-def test_scan_and_fault_disagreeing_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(graph_module, "_scan", lambda text: None)
-    with pytest.raises(InternalError):
-        parse_graph(P3_TEXT)
-
-
 # Lines as the two formats write them, and junk, from a small token alphabet;
-# numbers include leading zeros, signs and values too long for the scan.
+# numbers include leading zeros (past int()'s digit limit too), signs and
+# values of 19 digits.
 _NUM = st.sampled_from(["0", "1", "2", "3", "4", "-1", "-0", "007", "1" * 19,
-                        "0" * 19 + "2", "1" + "0" * 18 + "3", "+1", "1_0", "0:", "/"])
+                        "0" * 19 + "2", "1" + "0" * 18 + "3", "+1", "1_0", "0:", "/", _PADDED])
 _WORD = st.sampled_from(["p", "e", "c", "edge"])
 _LINE = st.one_of(
     st.tuples(st.just("e"), _NUM, _NUM),
@@ -159,11 +159,13 @@ def test_scan_byte_classes_match_str_methods():
     buf = np.arange(128, dtype=np.uint8)
     assert graph_module._spaces(buf).tolist() == [c.isspace() for c in chars]
     assert graph_module._breaks(buf).tolist() == [len(f"a{c}a".splitlines()) == 2 for c in chars]
+    assert graph_module._breaks(buf).nonzero()[0].tolist() == list(graph_module._BREAK_BYTES)
 
 
 def _reference_tokens(data: bytes):
-    """(starts, ends, head) of the tokens of ``data``, by marking its bytes
-    as ``_fault`` does and cutting with ``split(b"\\n")`` and ``split()``."""
+    """(starts, ends, head) of the tokens of ``data``: each space byte is
+    marked " " and each break byte "\\n", and the marked bytes are cut with
+    ``split(b"\\n")`` and ``split()``."""
     buf = np.frombuffer(data, dtype=np.uint8)
     marked = np.where(graph_module._spaces(buf), np.uint8(ord(" ")), buf)
     marked[graph_module._breaks(buf)] = ord("\n")
@@ -227,16 +229,20 @@ def test_tokens_settle_gaps_block_by_block(block, monkeypatch):
 @given(_graph_texts())
 def test_fault_names_the_first_faulty_line(text):
     # The lines before the one named hold no fault: they parse, or lack only
-    # what a later line would have given (the header, any line at all).
+    # what a later line would have given (the header, any line at all).  Cut
+    # after the named line, the text fails there, as it did whole.
     try:
         parse_graph(text)
     except ParseError as exc:
         if exc.line_no is not None:
-            before = "".join(text.splitlines(keepends=True)[:exc.line_no - 1])
+            lines = text.splitlines(keepends=True)
             try:
-                parse_graph(before)
+                parse_graph("".join(lines[:exc.line_no - 1]))
             except ParseError as earlier:
                 assert earlier.line_no is None
+            with pytest.raises(ParseError) as cut:
+                parse_graph("".join(lines[:exc.line_no]))
+            assert cut.value.line_no == exc.line_no
 
 
 # Digits, the format's words, signs, ASCII and Unicode whitespace and line
@@ -292,7 +298,9 @@ def test_scan_reads_ids_as_int_does():
         assert str(info.value) == f"line {line + 2}: expected integer value, got '-'"
 
 
-def test_scan_ints_matches_int_up_to_the_digit_limit():
+@pytest.mark.parametrize("block", [64, 2**15])
+def test_scan_ints_matches_int_up_to_the_digit_limit(block, monkeypatch):
+    monkeypatch.setattr(graph_module, "_BLOCK", block)
     rng = random.Random(3)
     tokens = []
     for _ in range(5000):
@@ -301,15 +309,23 @@ def test_scan_ints_matches_int_up_to_the_digit_limit():
     buf = np.frombuffer(" ".join(tokens).encode(), dtype=np.uint8)
     ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
     starts = ends - [len(t) for t in tokens]
-    assert graph_module._scan_ints(buf, starts, ends).tolist() == list(map(int, tokens))
-    # one 19-digit value or one bad byte, anywhere, rejects them all
-    for bad in ("1" + "0" * 18, "-" + "9" * 19, "1-2", "12a", "-", "+1"):
+    values, bad = graph_module._scan_ints(buf, starts, ends)
+    assert (values.tolist(), bad) == (list(map(int, tokens)), len(tokens))
+    # a bad byte anywhere is named by its index, with the values before it
+    # read; a value of 19 significant digits reads as out of range of any id
+    for token, named in [("1" + "0" * 18, False), ("-" + "9" * 19, False), ("1-2", True),
+                         ("12a", True), ("-", True), ("+1", True), ("1" * 5000, True)]:
         i = rng.randrange(len(tokens))
-        text = " ".join(tokens[:i] + [bad] + tokens[i + 1:])
-        buf = np.frombuffer(text.encode(), dtype=np.uint8)
-        lens = [len(t) for t in tokens[:i] + [bad] + tokens[i + 1:]]
-        ends = np.cumsum([k + 1 for k in lens]) - 1
-        assert graph_module._scan_ints(buf, ends - lens, ends) is None, bad
+        some = tokens[:i] + [token] + tokens[i + 1:]
+        buf = np.frombuffer(" ".join(some).encode(), dtype=np.uint8)
+        ends = np.cumsum([len(t) + 1 for t in some]) - 1
+        values, bad = graph_module._scan_ints(buf, ends - [len(t) for t in some], ends)
+        assert values[:i].tolist() == list(map(int, some[:i])), token
+        if named:
+            assert bad == i, token
+        else:
+            assert bad == len(some) and abs(values[i]) > graph_module.MAX_VERTICES, token
+            assert values[i + 1:].tolist() == list(map(int, some[i + 1:])), token
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -356,10 +372,12 @@ def _layout_text(g, layout):
 
 
 def _parse_peak_ratio(text):
-    """Peak traced memory of one parse, over the length of the text."""
+    """Peak traced memory of one parse, or of its ParseError, over the length
+    of the text."""
     tracemalloc.start()
     try:
-        parse_graph(text)
+        with contextlib.suppress(ParseError):
+            parse_graph(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,6 +404,54 @@ def test_crlf_parse_peaks_no_higher_than_lf():
     lf, crlf = _layout_text(g, "dimacs"), _layout_text(g, "crlf")
     parse_graph(crlf)
     assert _parse_peak_ratio(crlf) <= _parse_peak_ratio(lf)
+
+
+@pytest.fixture(scope="module")
+def megabyte_text():
+    return serialize_graph(random_strictly_chordal(
+        GenParams(seed=1, target_n=4000, max_block_size=30, max_twins=2)))
+
+
+def _last_line_fault(text, fault):
+    """``text`` with its last edge line ``e u v`` made ``e u u`` or ``e u x``,
+    and the message that names it."""
+    body, last = text[:-1].rsplit("\n", 1)
+    u = last.split()[1]
+    line = "line %d: " % text.count("\n")
+    if fault == "self-loop":
+        return f"{body}\ne {u} {u}\n", f"{line}self-loop at vertex {u}"
+    return f"{body}\ne {u} x\n", f"{line}expected integer vertex id, got 'x'"
+
+
+def _best_parse_s(text):
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        with contextlib.suppress(ParseError):
+            parse_graph(text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+# The fault is found by the scan's own masks; naming it reads only the bytes
+# before its line again, so it costs about one parse (a second, line-by-line
+# pass over the text cost 7.6 parses).
+@pytest.mark.parametrize("fault", ["self-loop", "non-integer"])
+def test_a_fault_on_the_last_line_costs_about_one_parse(megabyte_text, fault):
+    assert 900_000 < len(megabyte_text) < 1_200_000
+    text, message = _last_line_fault(megabyte_text, fault)
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+    ratio = _best_parse_s(text) / _best_parse_s(megabyte_text)
+    assert ratio <= 3, ratio
+
+
+@pytest.mark.parametrize("fault", ["self-loop", "non-integer"])
+def test_a_fault_on_the_last_line_peaks_no_higher_than_a_parse(megabyte_text, fault):
+    text, _ = _last_line_fault(megabyte_text, fault)
+    ratio = _parse_peak_ratio(text) / _parse_peak_ratio(megabyte_text)
+    assert ratio <= 1.1, ratio
 
 
 def test_duplicate_edges_collapsed():

@@ -3,8 +3,9 @@ formats, the message of the ParseError each faulty text raises, or a short
 digest of the graph each valid one parses to.
 
 The table in ``tests/data/parse_outcomes.json`` was written by the version
-that still had a line-by-line parser beside the numpy scan.  Rewrite it only
-for a change meant to alter parse outcomes, by running this file as a script:
+that still had a line-by-line parser beside the numpy scan, and that parser
+is gone: the table is now its only record.  Rewrite it only for a change
+meant to alter parse outcomes, by running this file as a script:
 
     PYTHONPATH=src python tests/test_parse_outcomes.py
 """
