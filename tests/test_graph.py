@@ -298,34 +298,35 @@ def test_scan_reads_ids_as_int_does():
         assert str(info.value) == f"line {line + 2}: expected integer value, got '-'"
 
 
-@pytest.mark.parametrize("block", [64, 2**15])
-def test_scan_ints_matches_int_up_to_the_digit_limit(block, monkeypatch):
-    monkeypatch.setattr(graph_module, "_BLOCK", block)
-    rng = random.Random(3)
-    tokens = []
-    for _ in range(5000):
-        digits = str(rng.randrange(10 ** rng.randint(1, 18)))
-        tokens.append(rng.choice(["", "-"]) + digits.zfill(rng.randint(len(digits), 25)))
-    buf = np.frombuffer(" ".join(tokens).encode(), dtype=np.uint8)
-    ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
-    starts = ends - [len(t) for t in tokens]
-    values, bad = graph_module._scan_ints(buf, starts, ends)
-    assert (values.tolist(), bad) == (list(map(int, tokens)), len(tokens))
-    # a bad byte anywhere is named by its index, with the values before it
-    # read; a value of 19 significant digits reads as out of range of any id
-    for token, named in [("1" + "0" * 18, False), ("-" + "9" * 19, False), ("1-2", True),
-                         ("12a", True), ("-", True), ("+1", True), ("1" * 5000, True)]:
-        i = rng.randrange(len(tokens))
-        some = tokens[:i] + [token] + tokens[i + 1:]
-        buf = np.frombuffer(" ".join(some).encode(), dtype=np.uint8)
-        ends = np.cumsum([len(t) + 1 for t in some]) - 1
-        values, bad = graph_module._scan_ints(buf, ends - [len(t) for t in some], ends)
-        assert values[:i].tolist() == list(map(int, some[:i])), token
-        if named:
-            assert bad == i, token
-        else:
-            assert bad == len(some) and abs(values[i]) > graph_module.MAX_VERTICES, token
-            assert values[i + 1:].tolist() == list(map(int, some[i + 1:])), token
+def test_scan_ints_matches_int_up_to_the_digit_limit(monkeypatch):
+    # a small block puts block edges all through the tokens
+    for block in (64, 2**15):
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+        rng = random.Random(3)
+        tokens = []
+        for _ in range(5000):
+            digits = str(rng.randrange(10 ** rng.randint(1, 18)))
+            tokens.append(rng.choice(["", "-"]) + digits.zfill(rng.randint(len(digits), 25)))
+        buf = np.frombuffer(" ".join(tokens).encode(), dtype=np.uint8)
+        ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+        starts = ends - [len(t) for t in tokens]
+        values, bad = graph_module._scan_ints(buf, starts, ends)
+        assert (values.tolist(), bad) == (list(map(int, tokens)), len(tokens))
+        # a bad byte anywhere is named by its index, with the values before it
+        # read; a value of 19 significant digits reads as out of range of any id
+        for token, named in [("1" + "0" * 18, False), ("-" + "9" * 19, False), ("1-2", True),
+                             ("12a", True), ("-", True), ("+1", True), ("1" * 5000, True)]:
+            i = rng.randrange(len(tokens))
+            some = tokens[:i] + [token] + tokens[i + 1:]
+            buf = np.frombuffer(" ".join(some).encode(), dtype=np.uint8)
+            ends = np.cumsum([len(t) + 1 for t in some]) - 1
+            values, bad = graph_module._scan_ints(buf, ends - [len(t) for t in some], ends)
+            assert values[:i].tolist() == list(map(int, some[:i])), token
+            if named:
+                assert bad == i, token
+            else:
+                assert bad == len(some) and abs(values[i]) > graph_module.MAX_VERTICES, token
+                assert values[i + 1:].tolist() == list(map(int, some[i + 1:])), token
 
 
 @pytest.mark.parametrize("bad, message", [
