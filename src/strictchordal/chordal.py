@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotChordalError, NotConnectedError
-from .graph import Graph
+from .graph import Graph, _run_starts
 
 
 def mcs_order(g: Graph) -> list[int]:
@@ -45,7 +45,7 @@ def mcs_order(g: Graph) -> list[int]:
     # exceeds the maximum degree.
     weight = [0] * n
     buckets = [list(range(n - 1, -1, -1))]
-    buckets += [[] for _ in range(int(np.diff(indptr).max(initial=0)))]
+    buckets += [[] for _ in range(int((indptr[1:] - indptr[:-1]).max(initial=0)))]
     top = 0
     visit = []
     append = visit.append
@@ -88,17 +88,17 @@ def _orient(g: Graph, order):
     order = np.asarray(order, dtype=np.int64)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
-    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    tails = np.arange(n, dtype=np.int64).repeat(indptr[1:] - indptr[:-1])
     head_pos = pos[indices]
     # integer takes: boolean indexing by this irregular mask is much slower
-    later = np.flatnonzero(head_pos > pos[tails])
+    later = (head_pos > pos[tails]).nonzero()[0]
     tails = tails[later]
     heads = indices[later]
     head_pos = head_pos[later]
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=ptr[1:])
-    follower = np.full(n, -1, dtype=np.int64)
+    np.bincount(tails, minlength=n).cumsum(out=ptr[1:])
     has_later = ptr[1:] > ptr[:-1]
+    follower = np.subtract(has_later, 1, dtype=np.int64)  # -1 without later neighbours
     if len(tails):
         follower[has_later] = order[np.minimum.reduceat(head_pos, ptr[:-1][has_later])]
     # w comes after follower(u), so the edge (follower(u), w), if present, is
@@ -106,7 +106,7 @@ def _orient(g: Graph, order):
     keys = tails * n + heads
     fu = follower[tails]
     query = fu * n + heads
-    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+    found = keys[np.minimum(keys.searchsorted(query), len(keys) - 1)] == query
     fail = ~found & (heads != fu)
     u, fu, w = tails[fail], fu[fail], heads[fail]
     if len(u):
@@ -181,16 +181,10 @@ def _least_of_groups(fp):
     """For each vertex v, the least vertex whose fingerprint is ``fp[v]``.
     The sort need not be stable: each group's least is taken by a
     reduction, not as its first entry."""
-    n = len(fp)
-    by_fp = np.argsort(fp)
-    first = np.ones(n, dtype=bool)
-    first[1:] = fp[by_fp[1:]] != fp[by_fp[:-1]]
-    group = first.nonzero()[0]  # where each group starts in by_fp
-    size = np.empty_like(group)
-    np.subtract(group[1:], group[:-1], out=size[:-1])
-    size[-1:] = n - group[-1:]
-    least = np.empty(n, dtype=np.int64)
-    least[by_fp] = np.repeat(np.minimum.reduceat(by_fp, group), size)
+    by_fp = fp.argsort()
+    first = _run_starts(fp[by_fp])
+    least = np.empty(len(fp), dtype=np.int64)
+    least[by_fp] = np.minimum.reduceat(by_fp, first.nonzero()[0])[first.cumsum() - 1]
     return least
 
 
@@ -213,41 +207,40 @@ def true_twin_quotient(g: Graph):
     """
     n = g.n
     indptr, indices = g.csr()
-    deg = np.diff(indptr)
+    deg = indptr[1:] - indptr[:-1]
     ids = np.arange(n, dtype=np.int64)
     # fingerprint of N[v]: v's key plus its row's, from wrapping prefix sums
     fp = _mix_keys(ids)
     acc = np.zeros(len(indices) + 1, dtype=np.uint64)
-    np.cumsum(fp[indices], out=acc[1:])
+    fp[indices].cumsum(out=acc[1:])
     fp += acc[indptr[1:]] - acc[indptr[:-1]]
     del acc
     least = _least_of_groups(fp)
     rep = np.where(deg == deg[least], least, ids)
     is_rep = rep == ids
-    reps = np.flatnonzero(is_rep)
+    reps = is_rep.nonzero()[0]
     k = len(reps)
     if k == n:
         return g, ids, np.arange(n + 1, dtype=np.int64), ids
-    cls = (np.cumsum(is_rep) - 1)[rep]
+    cls = (is_rep.cumsum() - 1)[rep]
     size = np.bincount(cls, minlength=k)
     # every CSR entry labelled with its class pair; sorted, each pair is a run
-    pairs = np.repeat(cls * k, deg)
+    pairs = (cls * k).repeat(deg)
     pairs += cls[indices]
     pairs.sort()
-    last = np.ones(len(pairs), dtype=bool)
-    np.not_equal(pairs[1:], pairs[:-1], out=last[:-1])
-    ends = last.nonzero()[0] + 1
-    a, b = np.divmod(pairs[ends - 1], k)
+    first = _run_starts(pairs).nonzero()[0]
+    a, b = np.divmod(pairs[first], k)
+    ends = np.concatenate((first[1:], [len(pairs)]))
     inner = a == b
     if (np.count_nonzero(inner) != np.count_nonzero(size > 1)
-            or (np.cumsum(size[a] * (size[b] - inner)) != ends).any()):
+            or ((size[a] * (size[b] - inner)).cumsum() != ends).any()):
         return g, ids, np.arange(n + 1, dtype=np.int64), ids
     class_ptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(size, out=class_ptr[1:])
+    size.cumsum(out=class_ptr[1:])
     # h's rows are the runs between two classes, ascending by pair
-    h_indptr = np.searchsorted(a[~inner], np.arange(k + 1))
+    h_indptr = a[~inner].searchsorted(np.arange(k + 1))
     h = Graph._from_csr(h_indptr, b[~inner], g.id_base)
-    return h, reps, class_ptr, np.argsort(cls, kind="stable")
+    return h, reps, class_ptr, cls.argsort(kind="stable")
 
 
 @dataclass
@@ -297,8 +290,8 @@ def _spread(xs, class_ptr, members):
     xs[i]); on the class CSR, the classes of the vertices ``xs``."""
     sizes = class_ptr[xs + 1] - class_ptr[xs]
     ends = np.zeros(len(xs) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ends[1:])
-    at = np.arange(ends[-1]) + np.repeat(class_ptr[xs] - ends[:-1], sizes)
+    sizes.cumsum(out=ends[1:])
+    at = np.arange(ends[-1]) + (class_ptr[xs] - ends[:-1]).repeat(sizes)
     return members[at], ends
 
 
@@ -324,7 +317,7 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     n = g.n
     order = np.asarray(order, dtype=np.int64)
     later_ptr, heads, follower, (bad_u, bad_f, bad_w) = _orient(g, order)
-    sizes = np.diff(later_ptr)
+    sizes = later_ptr[1:] - later_ptr[:-1]
     # a connected graph has exactly one vertex without later neighbours (the
     # last of the ordering); each extra one starts another component
     if n == 0 or int((sizes == 0).sum()) != 1:
@@ -339,18 +332,17 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
             cycle = members[class_ptr[cycle]].tolist()
         raise NotChordalError("graph is not chordal", cycle=cycle)
 
-    # sizes[v] is v's weight when the search visited it.  The clique being
-    # built after visit step i-1 has sizes[visit[i-1]] + 1 vertices; v joins
-    # it when its weight equals that size and starts a new clique otherwise.
+    # sizes[v] is v's weight when the search visited it.  Visit i joins the
+    # clique of visit i-1, which has weight[i-1] + 1 vertices, when its weight
+    # is that size (weight - i stays the same) and starts a new clique otherwise.
     visit = order[::-1]
     weight = sizes[visit]
     if (weight[1:] > weight[:-1] + 1).any():
         raise InternalError("MCS weight exceeded the current clique size")
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = weight[1:] != weight[:-1] + 1
+    starts = _run_starts(weight - np.arange(n))
     clique_of = np.empty(n, dtype=np.int64)
-    clique_of[visit] = np.cumsum(starts) - 1
-    clique_ptr = np.append(np.flatnonzero(starts), n)
+    clique_of[visit] = starts.cumsum() - 1
+    clique_ptr = np.concatenate((starts.nonzero()[0], [n]))
     reps = visit[clique_ptr[:-1]]
     # clique q = the vertices numbered into it, in visit order, then its
     # overlap with the parent: its representative's later neighbours, ascending
@@ -419,28 +411,26 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     # rows in lexicographic order (a row before the longer rows it begins):
     # by the first class, then run by run of equal prefixes by each later
     # column over the rows reaching it, so work and memory follow the entries
-    order = np.argsort(vals[heads], kind="stable")
+    order = vals[heads].argsort(kind="stable")
     key = vals[heads[order]]
-    fresh = np.ones(n_edges, dtype=bool)  # a run of equal prefixes starts here
-    fresh[1:] = key[1:] != key[:-1]
+    fresh = _run_starts(key)  # a run of equal prefixes starts here
     at = np.arange(n_edges, dtype=np.int64)  # positions of the rows still read
     for j in range(1, int(lens.max(initial=0))):
         at = at[lens[order[at]] >= j]  # whole runs: a shorter row's run ended
         rows = order[at]
         key = np.where(lens[rows] > j, vals.take(heads[rows] + j, mode="clip"), -1)
-        by_key = np.lexsort((key, np.cumsum(fresh[at])))
+        by_key = np.lexsort((key, fresh[at].cumsum()))
         order[at], key = rows[by_key], key[by_key]
         fresh[at[1:]] |= key[1:] != key[:-1]
     sid = np.empty(n_edges, dtype=np.int64)
-    sid[order] = np.cumsum(fresh) - 1
+    sid[order] = fresh.cumsum() - 1
     firsts = order[fresh]  # one tree edge per distinct row, in row order
     n_seps = len(firsts)
     # distinct (separator, clique) incidences from both edge endpoints
     pair_keys = (np.concatenate((sid, sid)) * n_cliques
                  + np.concatenate((ct.edge_child, ct.edge_parent)))
     pair_keys.sort()
-    fresh = np.ones(len(pair_keys), dtype=bool)
-    fresh[1:] = pair_keys[1:] != pair_keys[:-1]
+    fresh = _run_starts(pair_keys)
     pair_sep, pair_clique = np.divmod(pair_keys[fresh], n_cliques)
     # boundary cliques contain exactly one distinct separator
     leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
@@ -448,14 +438,15 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     classes, row_ptr = _spread(ct.edge_child[firsts], ct.sep_ptr, vals)
     vertices, ends = _spread(classes, ct.class_ptr, ct.members)
     row_ptr = ends[row_ptr]
-    sizes = np.diff(row_ptr)
-    vertices = vertices[np.lexsort((vertices, np.repeat(np.arange(n_seps), sizes)))]
+    sizes = row_ptr[1:] - row_ptr[:-1]
+    vertices = vertices[np.lexsort((vertices, np.arange(n_seps).repeat(sizes)))]
     # a clique's size is its own run's plus its row's, both in vertices
-    class_sizes = np.diff(ct.class_ptr)
+    class_sizes = ct.class_ptr[1:] - ct.class_ptr[:-1]
     own = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
+    row = np.concatenate(([0], class_sizes[vals].cumsum()))[ct.sep_ptr]  # summed to each row
     return Separators(
         n_cliques=n_cliques,
-        clique_sizes=own + np.diff(np.append(0, np.cumsum(class_sizes[vals]))[ct.sep_ptr]),
+        clique_sizes=own + row[1:] - row[:-1],
         indptr=row_ptr,
         indices=vertices,
         sizes=sizes,

@@ -61,9 +61,7 @@ class Graph:
         np.multiply(v, n, out=keys[half:])
         keys[half:] += u
         keys.sort()
-        fresh = np.empty(len(keys), dtype=bool)
-        fresh[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        fresh = _run_starts(keys)
         if not fresh.all():
             keys = keys[fresh]
         del fresh
@@ -92,7 +90,7 @@ class Graph:
     def edges(self):
         """Iterate over each edge once as (u, v) with u < v, in sorted order."""
         indptr, indices = self._csr
-        tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        tails = np.arange(self.n, dtype=np.int64).repeat(indptr[1:] - indptr[:-1])
         upper = indices > tails
         return zip(tails[upper].tolist(), indices[upper].tolist())
 
@@ -225,6 +223,14 @@ _KIND_FAULTS = {b"p": ("problem line must be 'p edge <n> <m>'", "duplicate probl
 _BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``parse_graph`` and ``_scan_ints``: L2-sized
 
 
+def _run_starts(keys):
+    """Mask of the positions where a run of equal ``keys`` starts."""
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return fresh
+
+
 def _between(buf, lo, hi):
     """Mask of the bytes in lo..hi (uint8 arithmetic wraps the rest above)."""
     return buf - np.uint8(lo) <= np.uint8(hi - lo)
@@ -329,15 +335,17 @@ def _scan_ints(buf, starts, ends):
         wid, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
         np.subtract(ends[lo:lo + _BLOCK], starts[lo:lo + _BLOCK], out=wid)
         wid -= sign
-        huge = []
-        for i in (wid > 18).nonzero()[0]:
-            end = ends[lo + i]
-            if (buf[end - wid[i]:end - 18] != ord("0")).any():  # 19 digits past the zeros
-                if _int(buf[starts[lo + i]:end].tobytes()) is None:
+        huge = wide = (wid > 18).nonzero()[0]
+        if len(wide):  # those with a nonzero byte before their last 18 digits go to _int
+            cut = ends[lo:lo + _BLOCK][wide] - 18
+            lead = np.stack((cut + 18 - wid[wide], cut), axis=1).ravel()  # [first digit, cut)
+            low = int(lead.min())
+            nonzero = np.logical_or.reduceat(buf[low:int(cut.max()) + 1] != ord("0"), lead - low)
+            huge = wide[nonzero[::2]]
+            wid[wide] = 18
+            for i in huge.tolist():
+                if _int(buf[starts[lo + i]:ends[lo + i]].tobytes()) is None:
                     wid[i] = 0  # read as no digits: a bad token
-                    continue
-                huge.append(i)
-            wid[i] = 18
         w = int(wid.max())
         np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts: w if none
         at = np.subtract(ends[lo:lo + _BLOCK], w, out=wid)  # the widths are not read again

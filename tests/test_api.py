@@ -2,17 +2,23 @@
 and README must name every entry.  Adding, removing or renaming a public
 name fails here until this list and README are changed with it."""
 
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import strictchordal
+from strictchordal.cli import report_document
+from strictchordal.errors import NotChordalError, NotStrictlyChordalError
+from strictchordal.generator import GenParams, random_strictly_chordal
 
-FIG1 = Path(__file__).parent / "fixtures" / "fig1.gr"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIG1 = FIXTURES / "fig1.gr"
 
 PUBLIC = [
     "CASE_COMPLETE",
@@ -106,3 +112,48 @@ except SystemExit as exc:
 """)
     assert {"strictchordal.vulnerability", "argparse"} <= loaded
     assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle"})
+
+
+# numpy functions that are Python code over a C entry point (the NEP 18
+# dispatch layer and argument handling).  Each call costs Python frames that
+# the ndarray method, slice or constructor doing the same work does not; at
+# small n those frames cost more than the algorithm.
+NUMPY_WRAPPERS = [np.cumsum, np.diff, np.repeat, np.argsort, np.searchsorted, np.flatnonzero,
+                  np.append, np.ones, np.full, np.array_equal]
+
+
+def test_analysis_path_enters_no_numpy_python_wrapper():
+    # matched by function object, not by file path: the wrapped Python
+    # function is the one whose frame is entered, in every numpy version
+    names = {inspect.unwrap(fn).__code__: fn.__name__ for fn in NUMPY_WRAPPERS}
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            entered.append(names[frame.f_code])
+
+    def profiled(fn, *args):
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(old)
+
+    def run(text):
+        g = strictchordal.parse_graph(text)
+        report = strictchordal.analyze(g)
+        report_document(g, report)
+        return g, report
+
+    g, report = profiled(run, strictchordal.serialize_graph(random_strictly_chordal(
+        GenParams(seed=3, target_n=120, max_block_size=5, max_twins=3))))
+    assert report.case == "type_b" and 3 * (len(report.clique_tree.class_ptr) - 1) < g.n
+    assert profiled(run, FIG1.read_text())[1].case == "tough_ge_1"
+    with pytest.raises(NotChordalError):
+        profiled(run, (FIXTURES / "c4.gr").read_text())
+    with pytest.raises(NotStrictlyChordalError):
+        profiled(run, (FIXTURES / "dart.gr").read_text())
+    assert entered == []
+    profiled(np.cumsum, [1])  # the hook does see a wrapper's call
+    assert entered == ["cumsum"]

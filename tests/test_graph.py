@@ -300,7 +300,7 @@ def test_scan_reads_ids_as_int_does():
 
 def test_scan_ints_matches_int_up_to_the_digit_limit(monkeypatch):
     # a small block puts block edges all through the tokens
-    for block in (64, 2**15):
+    for block in (2, 64, 2**15):
         monkeypatch.setattr(graph_module, "_BLOCK", block)
         rng = random.Random(3)
         tokens = []
@@ -365,8 +365,9 @@ def test_parse_peak_memory_stays_within_ten_times_the_text():
 
 def _layout_text(g, layout):
     text = serialize_graph(g)
-    if layout == "plain":
-        text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    if layout in ("plain", "padded"):  # padded: every id zero-padded to 20 digits
+        w = 20 if layout == "padded" else 0
+        text = f"{g.n} {g.m}\n" + "".join(f"{u:0{w}} {v:0{w}}\n" for u, v in g.edges())
     elif layout == "crlf":
         text = text.replace("\n", "\r\n")
     return text
@@ -446,6 +447,40 @@ def test_a_fault_on_the_last_line_costs_about_one_parse(megabyte_text, fault):
     assert str(info.value) == message
     ratio = _best_parse_s(text) / _best_parse_s(megabyte_text)
     assert ratio <= 3, ratio
+
+
+# Each block's ids of more than 18 digits have the bytes before their last 18
+# checked by one pass over the block's bytes.  Measured 4.1-4.3 with a text
+# 4.5 times as long; a loop over the wide ids in Python measured 38-55.
+def test_zero_padded_ids_cost_about_one_parse(megabyte_text):
+    g = parse_graph(megabyte_text)
+    text, padded = _layout_text(g, "plain"), _layout_text(g, "padded")
+    assert all(np.array_equal(x, y) for x, y in zip(parse_graph(padded).csr(), g.csr()))
+    ratio = _best_parse_s(padded) / _best_parse_s(text)
+    assert ratio <= 8, ratio
+
+
+@pytest.mark.parametrize("block", [2, 2**15])
+def test_wide_ids_keep_their_values_and_bad_index_at_block_edges(monkeypatch, block):
+    # at block 2 every id is first or last in its block
+    monkeypatch.setattr(graph_module, "_BLOCK", block)
+    g = random_strictly_chordal(GenParams(seed=2, target_n=60, max_block_size=5, max_twins=2))
+    rng = random.Random(5)
+    rows = [[str(u).zfill(rng.randint(1, 25)), str(v).zfill(rng.randint(1, 25))]
+            for u, v in g.edges()]
+    text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+    assert all(np.array_equal(x, y) for x, y in zip(parse_graph(text).csr(), g.csr()))
+    for token in ["0" * 4 + "1" + "0" * 19, "0" * 24 + "1x"]:
+        message = (f"vertex id out of range 0..{g.n - 1}" if token.isdigit()
+                   else f"expected integer value, got '{token}'")
+        for line in (0, 1, g.m // 2, g.m - 1):
+            for k in (0, 1):
+                some = [list(row) for row in rows]
+                some[line][k] = token
+                text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in some)
+                with pytest.raises(ParseError) as info:
+                    parse_graph(text)
+                assert str(info.value) == f"line {line + 2}: {message}"
 
 
 @pytest.mark.parametrize("fault", ["self-loop", "non-integer"])
