@@ -13,6 +13,11 @@ cliques and separators are read out.  Every maximal clique and minimal
 separator is a union of such classes, and adding a true twin creates no
 chordless cycle, so the quotient has the same cliques, separators,
 connectivity and chordality, on far fewer edges when the classes are large.
+
+The quotient of a strictly chordal graph is a block graph, whose cliques
+are its blocks and whose separators are its cut vertices.
+``block_decomposition`` proves that with one breadth-first search and reads
+both tables off it; the search above serves every other graph.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ def mcs_order(g: Graph) -> list[int]:
     weight fall to the vertex that most recently reached that weight (LIFO).
     The search is the bucket queue of Tarjan and Yannakakis (1984).  It reads
     only the CSR arrays of ``g.csr()``: each visited vertex's neighbours are
-    one slice of ``indices`` (as a Python list) bounded by ``indptr``.
+    one slice of ``indices`` bounded by ``indptr``, both read through
+    memoryviews, which copy nothing and iterate as fast as lists.
     """
     n = g.n
     indptr, indices = g.csr()
-    flat = indices.tolist()
-    bounds = indptr.tolist()
+    bounds, flat = memoryview(indptr), memoryview(indices)
     # weight[v] counts v's visited neighbours, or is -1 once v is visited.
     # buckets[w] holds vertices that had weight w when pushed; entries whose
     # weight has since risen are stale and skipped on pop.  No weight
@@ -128,23 +133,21 @@ def find_chordless_cycle(g: Graph, u: int, a: int, b: int):
 
     The interior of the cycle is a shortest a-b path avoiding N[u] outside
     {a, b}; shortest paths are induced, and u sees only a and b on the cycle.
-    Neighbours are read as slices of the CSR arrays.
+    Neighbours are read as slices of the CSR arrays, through memoryviews.
     """
     indptr, indices = g.csr()
-    blocked = set(indices[indptr[u]:indptr[u + 1]].tolist())
-    blocked.add(u)
-    blocked.discard(a)
-    blocked.discard(b)
-    parent = {a: None}
+    bounds, flat = memoryview(indptr), memoryview(indices)
+    # N[u] less a and b is marked reached, so the search never enters it
+    parent = dict.fromkeys(flat[bounds[u]:bounds[u + 1]], u)
+    parent[u] = u
+    del parent[b]
+    parent[a] = None
     queue = [a]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:  # grows while it is read
         if v == b:
             break
-        for x in indices[indptr[v]:indptr[v + 1]].tolist():
-            if x not in blocked and x not in parent:
+        for x in flat[bounds[v]:bounds[v + 1]]:
+            if x not in parent:
                 parent[x] = v
                 queue.append(x)
     if b not in parent:
@@ -257,7 +260,9 @@ class CliqueTree:
     child's row.  ``clique(q)`` (own classes, then the row) and
     ``separator_slice(e)`` spread the classes into vertices, each class
     ascending.  All of it comes from the CSR arrays of the graph the search
-    ran on (``g.csr()``) and the search order.
+    ran on (``g.csr()``) and the search order: cliques are numbered by the
+    breadth-first search of ``block_decomposition`` on a block graph, and
+    by the maximum-cardinality search otherwise.
     """
 
     visit: np.ndarray
@@ -453,5 +458,136 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
         mult=np.bincount(sid, minlength=n_seps),
         boundary=np.bincount(pair_sep[leaf[pair_clique]], minlength=n_seps),
         pair_sep=pair_sep,
+        pair_clique=pair_clique,
+    )
+
+
+def _bfs_groups(h: Graph):
+    """A BFS of h from vertex 0 with its sibling groups, or None when the
+    search or a group check fails (see ``block_decomposition``).
+
+    Returns ``(order, par, pos, group)``: the vertex at each search
+    position, each vertex's parent (-1 for the root), each vertex's
+    position, and the group of the vertex at each position, named by the
+    group's least position (the root is alone in group 0).
+    """
+    k = h.n
+    if k == 0:
+        return None
+    indptr, indices = h.csr()
+    bounds, flat = memoryview(indptr), memoryview(indices)
+    par = [-2] * k  # -2: not reached yet
+    par[0] = -1
+    order = [0]
+    for v in order:  # grows while it is read: the queue
+        pv = par[v]
+        for w in flat[bounds[v]:bounds[v + 1]]:
+            pw = par[w]
+            if pw == -2:
+                par[w] = v
+                order.append(w)
+            elif pw != pv and w != pv:
+                return None
+    if len(order) < k:
+        return None
+    order = np.array(order)
+    par = np.array(par)
+    pos = np.empty(k, dtype=np.int64)
+    pos[order] = np.arange(k)
+    # sibling entries of the CSR: both ends have one parent (the root none)
+    sib = (par.repeat(indptr[1:] - indptr[:-1]) == par[indices]).nonzero()[0]
+    tail = indptr.searchsorted(sib, side="right") - 1
+    head = indices[sib]
+    del sib
+    group = pos.copy()
+    np.minimum.at(group, tail, pos[head])
+    tail, head = group[tail], group[head]
+    size = np.bincount(group, minlength=k)
+    if (np.count_nonzero(tail != head)
+            or np.count_nonzero(np.bincount(tail, minlength=k) != size * (size - 1))):
+        return None
+    return order, par, pos, group[order]
+
+
+def block_decomposition(h: Graph, class_ptr, members):
+    """``(CliqueTree, Separators)`` of h read off one breadth-first search
+    when h is a connected block graph, as the true-twin quotient of every
+    strictly chordal graph is; None otherwise, deciding nothing about h.
+
+    The search runs from class 0 and gives each class a parent; the
+    children a class reaches are siblings.  It stops with None at an edge
+    v-w, w seen before, where w is neither v's parent nor its sibling, and
+    when it misses a class.  Siblings fall into groups: a class's group is
+    the least search position among itself and its sibling neighbours.
+    Every sibling edge must stay inside its group, and a group of s classes
+    must hold s(s - 1) sibling entries, so every group is a clique.
+
+    These checks prove h a block graph, exactly and without hashing: every
+    edge lies in one of the cliques {parent} + group, each clique hangs off
+    its parent class and each class but the root lies in one clique as a
+    child, so the class/clique incidences form a tree.  The cliques are
+    then h's blocks and its minimal separators are its cut classes, which
+    never overlap; spread into their vertices, they are the input's.
+
+    Cliques are numbered by their groups' least positions; clique 0 holds
+    the root, has an empty row and is every root block's parent.  Any other
+    clique's row is its parent class, which lies in the parent clique as a
+    child or as the root.  A cut class lies in its own clique and in those
+    it parents, so ``mult`` is its block count less one.
+    """
+    found = _bfs_groups(h)
+    if found is None:
+        return None
+    order, par, pos, group = found
+    del found  # each array goes once its last use is past
+    k = len(order)
+    group[0] = min(k - 1, 1)  # the root joins the block of the first class it reached
+    lead = group == np.arange(k)
+    clique = lead.cumsum() - 1
+    nq = int(clique[-1]) + 1
+    clique = clique[group]  # the clique of each position
+    del group
+    clique_ptr = np.zeros(nq + 1, dtype=np.int64)
+    np.bincount(clique, minlength=nq).cumsum(out=clique_ptr[1:])
+    visit = order[clique.argsort(kind="stable")]
+    row = par[order[lead.nonzero()[0][1:]]]  # clique q's row is row[q - 1]
+    del order, par, lead
+    clique = clique[pos]  # now the clique of each class
+    del pos
+    sep_ptr = np.arange(-1, nq)
+    sep_ptr[0] = 0
+    edge_child = sep_ptr[2:]  # 1, ..., nq - 1
+    ct = CliqueTree(visit=visit, clique_ptr=clique_ptr, sep_indices=row, sep_ptr=sep_ptr,
+                    edge_child=edge_child, edge_parent=clique[row],
+                    class_ptr=class_ptr, members=members)
+    # the cut classes, ascending: each separator is one class
+    mult = np.bincount(row, minlength=k)
+    is_cut = mult > 0
+    cut = is_cut.nonzero()[0]
+    mult = mult[cut]
+    ns = len(cut)
+    # incidences: each cut class with its own clique and the cliques it parents
+    pairs = np.concatenate(((is_cut.cumsum() - 1)[row] * nq + edge_child,
+                            np.arange(ns) * nq + clique[cut]))
+    del clique
+    pairs.sort()
+    pair_clique = pairs % nq
+    pairs //= nq  # now each pair's separator
+    leaf = np.bincount(pair_clique, minlength=nq) == 1
+    class_sizes = class_ptr[1:] - class_ptr[:-1]
+    sizes = class_sizes[cut]
+    ends = np.zeros(ns + 1, dtype=np.int64)
+    sizes.cumsum(out=ends[1:])
+    clique_sizes = np.add.reduceat(class_sizes[visit], clique_ptr[:-1])
+    clique_sizes[1:] += class_sizes[row]
+    return ct, Separators(
+        n_cliques=nq,
+        clique_sizes=clique_sizes,
+        indptr=ends,
+        indices=members[is_cut.repeat(class_sizes)],  # classes are runs of members
+        sizes=sizes,
+        mult=mult,
+        boundary=np.bincount(pairs[leaf[pair_clique]], minlength=ns),
+        pair_sep=pairs,
         pair_clique=pair_clique,
     )

@@ -323,7 +323,8 @@ def cmd_bench(args) -> int:
                                 max_block_size=args.max_block, max_twins=args.max_twins)
             for i, size in enumerate(sizes)]
     # warm up interpreter and numpy before timing; the stage columns are the
-    # stages analyze() timed, in its order
+    # stages analyze() timed on this in-class graph, in its order, and a run
+    # that took the general path prints "-" under those it did not time
     warm = generator.random_strictly_chordal(
         generator.GenParams(seed=args.seed, target_n=2000,
                             max_block_size=args.max_block, max_twins=args.max_twins))
@@ -359,7 +360,8 @@ def cmd_bench(args) -> int:
         prev = best
         print(f"{size:>9} {g.n:>9} {classes:>9} {g.m:>10} {case:>11} {best:>9.3f} "
               f"{best / (g.n + g.m) * 1e6:>10.3f} {best_parse:>9.3f} {ratio:>6} "
-              + " ".join(f"{stages[stage]:>13.3f}" for stage in stage_names))
+              + " ".join(f"{stages[stage]:>13.3f}" if stage in stages else f"{'-':>13}"
+                         for stage in stage_names))
     return EXIT_OK
 
 

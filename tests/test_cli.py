@@ -353,6 +353,24 @@ def test_bench_smoke(capsys):
         assert int(row[2]) == len(analyze(g).clique_tree.class_ptr) - 1 < g.n
 
 
+def test_bench_prints_a_dash_for_stages_a_run_did_not_time(capsys, monkeypatch):
+    # the 300-vertex graph is sent down the general path: its row has no
+    # blocks time, and the general stages have no columns of their own
+    forced = len(vulnerability.true_twin_quotient(random_strictly_chordal(
+        GenParams(seed=3, target_n=300, max_block_size=6, max_twins=1)))[1])
+    blocks = vulnerability.block_decomposition
+    monkeypatch.setattr(vulnerability, "block_decomposition",
+                        lambda h, *rest: None if h.n == forced else blocks(h, *rest))
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "300,600", "--seed", "3")
+    assert code == 0
+    header, first, second = [line.split() for line in out.splitlines() if line.strip()]
+    assert header[9:] == ["twins", "blocks", "vulnerability"]
+    assert int(first[2]) == forced
+    # the first row has no ratio, so its stage columns are counted from the end
+    assert first[-2] == "-" and "-" not in first[-3::2]
+    assert "-" not in second[-3:]
+
+
 @pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
 def test_bench_rejects_a_bad_size_before_any_output(capsys, sizes):
     code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--seed", "1")
