@@ -407,9 +407,10 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     the rows are sorted and deduplicated, and each distinct row is spread
     into its vertices; the multiplicities sum to the number of tree edges.
     On a block duplicate graph every row is one class: one sort orders them.
+    The table is then assembled by ``_separator_table``, which
+    ``block_decomposition`` ends in too.
     """
     n_edges = len(ct.edge_child)
-    n_cliques = ct.n_cliques
     vals = ct.sep_indices
     heads = ct.sep_ptr[ct.edge_child]  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
     lens = ct.sep_ptr[ct.edge_child + 1] - heads
@@ -430,34 +431,49 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     sid = np.empty(n_edges, dtype=np.int64)
     sid[order] = fresh.cumsum() - 1
     firsts = order[fresh]  # one tree edge per distinct row, in row order
-    n_seps = len(firsts)
-    # distinct (separator, clique) incidences from both edge endpoints
-    pair_keys = (np.concatenate((sid, sid)) * n_cliques
-                 + np.concatenate((ct.edge_child, ct.edge_parent)))
-    pair_keys.sort()
-    fresh = _run_starts(pair_keys)
-    pair_sep, pair_clique = np.divmod(pair_keys[fresh], n_cliques)
-    # boundary cliques contain exactly one distinct separator
-    leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
     # each row's classes spread into vertices, sorted within the row
     classes, row_ptr = _spread(ct.edge_child[firsts], ct.sep_ptr, vals)
     vertices, ends = _spread(classes, ct.class_ptr, ct.members)
     row_ptr = ends[row_ptr]
     sizes = row_ptr[1:] - row_ptr[:-1]
-    vertices = vertices[np.lexsort((vertices, np.arange(n_seps).repeat(sizes)))]
-    # a clique's size is its own run's plus its row's, both in vertices
+    vertices = vertices[np.lexsort((vertices, np.arange(len(firsts)).repeat(sizes)))]
+    return _separator_table(ct, sid, row_ptr, vertices)
+
+
+def _separator_table(ct: CliqueTree, sid, indptr, indices) -> Separators:
+    """The ``Separators`` table of ``ct`` whose tree edge e is labelled with
+    separator ``sid[e]``, separator s being the ascending vertex row
+    ``indices[indptr[s]:indptr[s + 1]]``.  Both decomposition paths end
+    here: it orders the incidences, finds the boundary cliques and counts
+    the multiplicities and the sizes of separators and cliques.
+    """
+    n_cliques = ct.n_cliques
+    n_seps = len(indptr) - 1
+    # a clique's size is its own run's plus its row's, both in vertices; the
+    # graph is connected, so only the root's row is empty
     class_sizes = ct.class_ptr[1:] - ct.class_ptr[:-1]
-    own = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
-    row = np.concatenate(([0], class_sizes[vals].cumsum()))[ct.sep_ptr]  # summed to each row
+    clique_sizes = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
+    clique_sizes[1:] += np.add.reduceat(class_sizes[ct.sep_indices], ct.sep_ptr[1:-1])
+    del class_sizes
+    # distinct (separator, clique) incidences from both edge endpoints, each
+    # array freed or reused once read
+    pairs = np.concatenate((sid, sid)) * n_cliques
+    pairs += np.concatenate((ct.edge_child, ct.edge_parent))
+    pairs.sort()
+    pairs = pairs[_run_starts(pairs)]
+    pair_clique = pairs % n_cliques
+    pairs //= n_cliques  # now each pair's separator
+    # boundary cliques contain exactly one distinct separator
+    leaf = np.bincount(pair_clique, minlength=n_cliques) == 1
     return Separators(
         n_cliques=n_cliques,
-        clique_sizes=own + row[1:] - row[:-1],
-        indptr=row_ptr,
-        indices=vertices,
-        sizes=sizes,
+        clique_sizes=clique_sizes,
+        indptr=indptr,
+        indices=indices,
+        sizes=indptr[1:] - indptr[:-1],
         mult=np.bincount(sid, minlength=n_seps),
-        boundary=np.bincount(pair_sep[leaf[pair_clique]], minlength=n_seps),
-        pair_sep=pair_sep,
+        boundary=np.bincount(pairs[leaf[pair_clique]], minlength=n_seps),
+        pair_sep=pairs,
         pair_clique=pair_clique,
     )
 
@@ -533,7 +549,9 @@ def block_decomposition(h: Graph, class_ptr, members):
     the root, has an empty row and is every root block's parent.  Any other
     clique's row is its parent class, which lies in the parent clique as a
     child or as the root.  A cut class lies in its own clique and in those
-    it parents, so ``mult`` is its block count less one.
+    it parents, so ``mult`` is its block count less one.  The separator
+    table is assembled by ``_separator_table``, which
+    ``minimal_vertex_separators`` ends in too.
     """
     found = _bfs_groups(h)
     if found is None:
@@ -560,34 +578,12 @@ def block_decomposition(h: Graph, class_ptr, members):
     ct = CliqueTree(visit=visit, clique_ptr=clique_ptr, sep_indices=row, sep_ptr=sep_ptr,
                     edge_child=edge_child, edge_parent=clique[row],
                     class_ptr=class_ptr, members=members)
-    # the cut classes, ascending: each separator is one class
-    mult = np.bincount(row, minlength=k)
-    is_cut = mult > 0
-    cut = is_cut.nonzero()[0]
-    mult = mult[cut]
-    ns = len(cut)
-    # incidences: each cut class with its own clique and the cliques it parents
-    pairs = np.concatenate(((is_cut.cumsum() - 1)[row] * nq + edge_child,
-                            np.arange(ns) * nq + clique[cut]))
     del clique
-    pairs.sort()
-    pair_clique = pairs % nq
-    pairs //= nq  # now each pair's separator
-    leaf = np.bincount(pair_clique, minlength=nq) == 1
+    # the separators are the cut classes, ascending, each spread into its
+    # vertices; tree edge e is labelled with its child's row, a cut class
     class_sizes = class_ptr[1:] - class_ptr[:-1]
-    sizes = class_sizes[cut]
-    ends = np.zeros(ns + 1, dtype=np.int64)
-    sizes.cumsum(out=ends[1:])
-    clique_sizes = np.add.reduceat(class_sizes[visit], clique_ptr[:-1])
-    clique_sizes[1:] += class_sizes[row]
-    return ct, Separators(
-        n_cliques=nq,
-        clique_sizes=clique_sizes,
-        indptr=ends,
-        indices=members[is_cut.repeat(class_sizes)],  # classes are runs of members
-        sizes=sizes,
-        mult=mult,
-        boundary=np.bincount(pairs[leaf[pair_clique]], minlength=ns),
-        pair_sep=pairs,
-        pair_clique=pair_clique,
-    )
+    is_cut = np.bincount(row, minlength=k) > 0
+    ends = np.zeros(np.count_nonzero(is_cut) + 1, dtype=np.int64)
+    class_sizes[is_cut].cumsum(out=ends[1:])
+    return ct, _separator_table(ct, (is_cut.cumsum() - 1)[row], ends,
+                                members[is_cut.repeat(class_sizes)])  # classes are runs of members

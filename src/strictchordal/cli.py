@@ -192,7 +192,6 @@ def _oracle_result_doc(result, g, kind):
 def cmd_oracle(args) -> int:
     from . import oracle
 
-    cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
     g = _load_graph(args.path)
     doc = {"n": g.n, "m": g.m, "mode": "separator_unions" if args.class_fast else "full"}
     try:
@@ -202,8 +201,8 @@ def cmd_oracle(args) -> int:
             sc = oracle.restricted_scattering(g, seps)
             tau = oracle.restricted_toughness(g, seps)
         else:
-            sc = oracle.brute_force_scattering(g, cap=cap)
-            tau = oracle.brute_force_toughness(g, cap=cap)
+            sc = oracle.brute_force_scattering(g)
+            tau = oracle.brute_force_toughness(g)
         doc["scattering"] = _oracle_result_doc(sc, g, "scattering")
         doc["toughness"] = _oracle_result_doc(tau, g, "toughness")
     except CompleteGraphError:
@@ -320,14 +319,14 @@ def cmd_bench(args) -> int:
         raise ParseError("--sizes needs a comma-separated list of target sizes")
     # GenParams checks each size, so a bad one stops the run before any output
     runs = [generator.GenParams(seed=args.seed + i, target_n=size,
-                                max_block_size=args.max_block, max_twins=args.max_twins)
+                                max_block_size=6, max_twins=1)
             for i, size in enumerate(sizes)]
     # warm up interpreter and numpy before timing; the stage columns are the
     # stages analyze() timed on this in-class graph, in its order, and a run
     # that took the general path prints "-" under those it did not time
     warm = generator.random_strictly_chordal(
         generator.GenParams(seed=args.seed, target_n=2000,
-                            max_block_size=args.max_block, max_twins=args.max_twins))
+                            max_block_size=6, max_twins=1))
     stage_names = list(analyze(warm).timings)
     print(f"{'target':>9} {'n':>9} {'classes':>9} {'m':>10} {'case':>11} {'time_s':>9} "
           f"{'us_per_nm':>10} {'parse_s':>9} {'ratio':>6} "
@@ -386,10 +385,6 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="brute-force scattering number and toughness")
     p.add_argument("path")
-    # None stands for oracle.DEFAULT_CAP, so building the parser does not
-    # import the oracles; a test holds this help text to that value
-    p.add_argument("--cap", type=int, default=None,
-                   help="size cap in vertices (default 20)")
     p.add_argument("--class-fast", action="store_true",
                    help="restrict candidates to unions of minimal vertex separators")
     p.set_defaults(func=cmd_oracle)
@@ -413,8 +408,6 @@ def build_parser():
     p = sub.add_parser("bench", help="time analyze() on generated graphs")
     p.add_argument("--sizes", required=True, help="comma-separated target sizes")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-block", type=int, default=6)
-    p.add_argument("--max-twins", type=int, default=1)
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser

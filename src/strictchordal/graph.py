@@ -17,11 +17,11 @@ class Graph:
     The CSR arrays are the only representation: ``csr()`` returns int64
     arrays ``(indptr, indices)``, and the neighbours of ``v`` are
     ``indices[indptr[v]:indptr[v + 1]]`` in increasing order.  Code that walks
-    neighbours in Python reads those slices of ``indices.tolist()``, bounded
-    by ``indptr.tolist()``.  ``id_base`` records the numbering used by the
-    source file (1 for DIMACS-like files, 0 for plain edge lists) so that
-    reports can echo the ids the user wrote.  Duplicate edges passed to the
-    constructor are collapsed and counted.
+    neighbours in Python reads those slices through memoryviews of
+    ``indices`` and ``indptr``, which copy nothing.  ``id_base`` records the
+    numbering used by the source file (1 for DIMACS-like files, 0 for plain
+    edge lists) so that reports can echo the ids the user wrote.  Duplicate
+    edges passed to the constructor are collapsed and counted.
     """
 
     __slots__ = ("n", "m", "duplicate_edge_count", "id_base", "_csr")
@@ -393,13 +393,13 @@ def connected_components(g: Graph, removed=()):
     Returns ``(count, labels)`` where ``labels[v]`` is the component id of
     each surviving vertex and -1 for removed ones.  Component ids are
     assigned in increasing order of the smallest vertex they contain; the
-    labelling itself is breadth-first over slices of the CSR arrays, as
-    ``mcs_order`` reads them.  ``count`` is 0 iff every vertex was removed.
-    An id in ``removed`` outside ``0..n-1`` raises ValueError.
+    labelling itself is breadth-first over slices of the CSR arrays, read
+    through memoryviews as ``mcs_order`` reads them.  ``count`` is 0 iff
+    every vertex was removed.  An id in ``removed`` outside ``0..n-1``
+    raises ValueError.
     """
     indptr, indices = g.csr()
-    flat = indices.tolist()
-    bounds = indptr.tolist()
+    bounds, flat = memoryview(indptr), memoryview(indices)
     done = [False] * g.n  # labelled or removed
     for v in removed:
         if not 0 <= v < g.n:

@@ -4,6 +4,7 @@ exactly on connected block graphs, its tables match the general path's
 
 import random
 import tracemalloc
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,11 @@ from test_chordal import _assert_clique_tree_invariants
 from test_twins import quotient_graphs
 from strictchordal import Graph, analyze, connected_components, mcs_order, verify_peo
 from strictchordal import vulnerability
-from strictchordal.chordal import block_decomposition, true_twin_quotient
+from strictchordal.chordal import (
+    block_decomposition,
+    minimal_vertex_separators,
+    true_twin_quotient,
+)
 from strictchordal.cli import report_document
 from strictchordal.errors import GraphError
 from strictchordal.generator import GenParams, random_strictly_chordal
@@ -123,6 +128,11 @@ def test_block_path_matches_the_general_path(monkeypatch):
         seps, ref_seps = mine.separators, ref.separators
         for name in SEPARATOR_FIELDS:
             assert np.array_equal(getattr(seps, name), getattr(ref_seps, name)), name
+        # the general separator code on the block path's own tree gives its
+        # table exactly, incidences included: the clique numbering is the same
+        again = minimal_vertex_separators(mine.clique_tree)
+        for field in fields(seps):
+            assert np.array_equal(getattr(again, field.name), getattr(seps, field.name)), field
         # cliques up to numbering: each named by its vertices
         cliques, ref_cliques = _clique_ids(mine.clique_tree), _clique_ids(ref.clique_tree)
         assert seps.n_cliques == ref_seps.n_cliques == len(set(cliques))

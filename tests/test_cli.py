@@ -9,7 +9,7 @@ import pytest
 import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
-from strictchordal import oracle, serialize_graph, vulnerability
+from strictchordal import serialize_graph, vulnerability
 from strictchordal.cli import _random_capped_graph, main
 from strictchordal.errors import GraphError
 
@@ -217,12 +217,13 @@ def test_oracle_too_large(capsys):
     assert "exceeds" in err
 
 
-def test_oracle_help_shows_the_default_cap(capsys):
+def test_oracle_has_no_cap_option(capsys):
+    # the cap is oracle.DEFAULT_CAP, as for check: a larger one would let
+    # the subset tables ask for 2^n entries
     with pytest.raises(SystemExit) as info:
-        main(["oracle", "--help"])
-    assert info.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())
-    assert f"size cap in vertices (default {oracle.DEFAULT_CAP})" in out
+        main(["oracle", fixture("c4.gr"), "--cap", "30"])
+    assert info.value.code == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_gen_roundtrip(tmp_path, capsys):
