@@ -12,45 +12,20 @@ __version__ = "0.1.0"
 
 # each public name and the submodule that defines it: ``__getattr__``
 # imports the submodule on first access, so a call loads only what it uses
-_MODULE_OF = {
-    "CASE_COMPLETE": "vulnerability",
-    "CASE_SINGLE_MVS": "vulnerability",
-    "CASE_TOUGH_GE_1": "vulnerability",
-    "CASE_TYPE_A": "vulnerability",
-    "CASE_TYPE_B": "vulnerability",
-    "CliqueTree": "chordal",
-    "CompleteGraphError": "errors",
-    "GenParams": "generator",
-    "Graph": "graph",
-    "GraphError": "errors",
-    "InternalError": "errors",
-    "NotChordalError": "errors",
-    "NotConnectedError": "errors",
-    "NotStrictlyChordalError": "errors",
-    "OracleResult": "oracle",
-    "ParseError": "errors",
-    "Separators": "chordal",
-    "TooLargeError": "errors",
-    "VulnerabilityReport": "vulnerability",
-    "analyze": "vulnerability",
-    "brute_force_scattering": "oracle",
-    "brute_force_toughness": "oracle",
-    "build_clique_tree": "chordal",
-    "classify": "vulnerability",
-    "connected_components": "graph",
-    "mcs_order": "chordal",
-    "minimal_vertex_separators": "chordal",
-    "parse_graph": "graph",
-    "random_strictly_chordal": "generator",
-    "restricted_scattering": "oracle",
-    "restricted_toughness": "oracle",
-    "scattering_set_type_b": "vulnerability",
-    "scattering_tough_ge_1": "vulnerability",
-    "serialize_graph": "graph",
-    "toughness": "vulnerability",
-    "verify_peo": "chordal",
-}
-__all__ = list(_MODULE_OF)
+_MODULE_OF = {name: module for module, names in {
+    "chordal": "CliqueTree Separators build_clique_tree mcs_order minimal_vertex_separators"
+               " verify_peo",
+    "errors": "CompleteGraphError GraphError InternalError NotChordalError NotConnectedError"
+              " NotStrictlyChordalError ParseError TooLargeError",
+    "generator": "GenParams random_strictly_chordal",
+    "graph": "Graph connected_components parse_graph serialize_graph",
+    "oracle": "OracleResult brute_force_scattering brute_force_toughness restricted_scattering"
+              " restricted_toughness",
+    "vulnerability": "CASE_COMPLETE CASE_SINGLE_MVS CASE_TOUGH_GE_1 CASE_TYPE_A CASE_TYPE_B"
+                     " VulnerabilityReport analyze classify scattering_set_type_b"
+                     " scattering_tough_ge_1 toughness",
+}.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotChordalError, NotConnectedError
-from .graph import Graph, _run_starts
+from .graph import Graph, _key_dtypes, _run_starts
 
 
 def mcs_order(g: Graph) -> list[int]:
@@ -206,18 +206,21 @@ def true_twin_quotient(g: Graph):
     a class A of two or more vertices must hold |A|(|A| - 1) (a clique),
     classes A != B none or |A||B| (all or nothing).  If a count fails,
     which takes a fingerprint collision, every vertex is a class of its
-    own: a collision costs compression, never correctness.
+    own: a collision costs compression, never correctness.  The entries
+    are counted by sorting their keys class * k + class, as uint32 for
+    k <= 65,536 classes and more than 1,024 entries (``_key_dtypes``); the
+    class ids are then uint16, whose stable sort (it orders ``members``) is
+    a radix sort.
     """
     n = g.n
     indptr, indices = g.csr()
     deg = indptr[1:] - indptr[:-1]
     ids = np.arange(n, dtype=np.int64)
-    # fingerprint of N[v]: v's key plus its row's, from wrapping prefix sums
+    # fingerprint of N[v]: v's key plus its row's wrapping sum, taken over
+    # the non-empty rows (reduceat reads one entry for an empty row)
     fp = _mix_keys(ids)
-    acc = np.zeros(len(indices) + 1, dtype=np.uint64)
-    fp[indices].cumsum(out=acc[1:])
-    fp += acc[indptr[1:]] - acc[indptr[:-1]]
-    del acc
+    full = deg.nonzero()[0]
+    fp[full] += np.add.reduceat(fp[indices], indptr[full])
     least = _least_of_groups(fp)
     rep = np.where(deg == deg[least], least, ids)
     is_rep = rep == ids
@@ -225,14 +228,16 @@ def true_twin_quotient(g: Graph):
     k = len(reps)
     if k == n:
         return g, ids, np.arange(n + 1, dtype=np.int64), ids
-    cls = (is_rep.cumsum() - 1)[rep]
+    digit, key = _key_dtypes(k, len(indices))
+    # class ids (a 16-bit cumsum wraps only past k - 1) and, sorted, every
+    # CSR entry labelled with its class pair: each pair is a run
+    cls = (is_rep.cumsum(dtype=digit) - 1)[rep]
     size = np.bincount(cls, minlength=k)
-    # every CSR entry labelled with its class pair; sorted, each pair is a run
-    pairs = (cls * k).repeat(deg)
+    pairs = np.multiply(cls, k, dtype=key).repeat(deg)
     pairs += cls[indices]
     pairs.sort()
     first = _run_starts(pairs).nonzero()[0]
-    a, b = np.divmod(pairs[first], k)
+    a, b = np.divmod(pairs[first].astype(np.int64, copy=False), k)
     ends = np.concatenate((first[1:], [len(pairs)]))
     inner = a == b
     if (np.count_nonzero(inner) != np.count_nonzero(size > 1)
@@ -241,7 +246,7 @@ def true_twin_quotient(g: Graph):
     class_ptr = np.zeros(k + 1, dtype=np.int64)
     size.cumsum(out=class_ptr[1:])
     # h's rows are the runs between two classes, ascending by pair
-    h_indptr = a[~inner].searchsorted(np.arange(k + 1))
+    h_indptr = np.bincount(a[~inner] + 1, minlength=k + 1).cumsum()
     h = Graph._from_csr(h_indptr, b[~inner], g.id_base)
     return h, reps, class_ptr, cls.argsort(kind="stable")
 
@@ -437,11 +442,12 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     row_ptr = ends[row_ptr]
     sizes = row_ptr[1:] - row_ptr[:-1]
     vertices = vertices[np.lexsort((vertices, np.arange(len(firsts)).repeat(sizes)))]
-    return _separator_table(ct, sid, row_ptr, vertices)
+    return _separator_table(ct, ct.class_ptr[1:] - ct.class_ptr[:-1], sid, row_ptr, vertices)
 
 
-def _separator_table(ct: CliqueTree, sid, indptr, indices) -> Separators:
-    """The ``Separators`` table of ``ct`` whose tree edge e is labelled with
+def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separators:
+    """The ``Separators`` table of ``ct``, whose class x has
+    ``class_sizes[x]`` vertices and whose tree edge e is labelled with
     separator ``sid[e]``, separator s being the ascending vertex row
     ``indices[indptr[s]:indptr[s + 1]]``.  Both decomposition paths end
     here: it orders the incidences, finds the boundary cliques and counts
@@ -451,10 +457,8 @@ def _separator_table(ct: CliqueTree, sid, indptr, indices) -> Separators:
     n_seps = len(indptr) - 1
     # a clique's size is its own run's plus its row's, both in vertices; the
     # graph is connected, so only the root's row is empty
-    class_sizes = ct.class_ptr[1:] - ct.class_ptr[:-1]
     clique_sizes = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
     clique_sizes[1:] += np.add.reduceat(class_sizes[ct.sep_indices], ct.sep_ptr[1:-1])
-    del class_sizes
     # distinct (separator, clique) incidences from both edge endpoints, each
     # array freed or reused once read
     pairs = np.concatenate((sid, sid)) * n_cliques
@@ -567,7 +571,7 @@ def block_decomposition(h: Graph, class_ptr, members):
     del group
     clique_ptr = np.zeros(nq + 1, dtype=np.int64)
     np.bincount(clique, minlength=nq).cumsum(out=clique_ptr[1:])
-    visit = order[clique.argsort(kind="stable")]
+    visit = order[clique.argsort(kind="stable")]  # nearly sorted: timsort's best case
     row = par[order[lead.nonzero()[0][1:]]]  # clique q's row is row[q - 1]
     del order, par, lead
     clique = clique[pos]  # now the clique of each class
@@ -585,5 +589,5 @@ def block_decomposition(h: Graph, class_ptr, members):
     is_cut = np.bincount(row, minlength=k) > 0
     ends = np.zeros(np.count_nonzero(is_cut) + 1, dtype=np.int64)
     class_sizes[is_cut].cumsum(out=ends[1:])
-    return ct, _separator_table(ct, (is_cut.cumsum() - 1)[row], ends,
+    return ct, _separator_table(ct, class_sizes, (is_cut.cumsum() - 1)[row], ends,
                                 members[is_cut.repeat(class_sizes)])  # classes are runs of members

@@ -496,6 +496,35 @@ def test_duplicate_edges_collapsed():
     assert g.duplicate_edge_count == 2
 
 
+def _reference_csr(n, edges):
+    """int64 CSR of the simple graph on ``edges``, built row by row in Python."""
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    return indptr, np.array([w for row in rows for w in sorted(row)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+@pytest.mark.parametrize("shape", ["two_edges", "cycle"])
+def test_csr_is_the_same_on_both_sides_of_the_key_width_switch(n, shape):
+    # keys tail * n + head fit in uint32 up to n = 65,536; the two edges
+    # stay below the key count that switches widths, the cycle (with every
+    # edge listed twice, both ways) goes past it
+    edges = [(0, n - 1), (0, 1)]
+    if shape == "cycle":
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        edges += [(v, u) for u, v in edges]
+    g = Graph(n, edges)
+    indptr, indices = g.csr()
+    ref_indptr, ref_indices = _reference_csr(n, edges)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert np.array_equal(indptr, ref_indptr) and np.array_equal(indices, ref_indices)
+    assert (g.m, g.duplicate_edge_count) == (len(ref_indices) // 2, len(edges) - len(ref_indices) // 2)
+
+
 def test_serialize_canonical():
     g = parse_graph("p edge 3 2\ne 2 3\ne 2 1\n")
     assert serialize_graph(g) == P3_TEXT
