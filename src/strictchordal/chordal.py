@@ -22,8 +22,6 @@ both tables off it; the search above serves every other graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InternalError, NotChordalError, NotConnectedError
@@ -251,8 +249,27 @@ def true_twin_quotient(g: Graph):
     return h, reps, class_ptr, cls.argsort(kind="stable")
 
 
-@dataclass
-class CliqueTree:
+class _Record:
+    """Base of the result records, slotted classes that import without building a
+    dataclass: repr ``Name(field=value, ...)`` but ``_hidden``, pickle by position."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __repr__(self):
+        shown = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of a record its ``__init__`` fills."""
+    raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set or delete {name!r}")
+
+
+class CliqueTree(_Record):
     """Maximal cliques of a connected chordal graph and a clique tree, kept
     on the graph's true-twin classes.
 
@@ -270,14 +287,19 @@ class CliqueTree:
     by the maximum-cardinality search otherwise.
     """
 
-    visit: np.ndarray
-    clique_ptr: np.ndarray
-    sep_indices: np.ndarray
-    sep_ptr: np.ndarray
-    edge_child: np.ndarray
-    edge_parent: np.ndarray
-    class_ptr: np.ndarray
-    members: np.ndarray
+    __slots__ = ("visit", "clique_ptr", "sep_indices", "sep_ptr", "edge_child", "edge_parent",
+                 "class_ptr", "members")
+
+    def __init__(self, visit, clique_ptr, sep_indices, sep_ptr, edge_child, edge_parent,
+                 class_ptr, members):
+        self.visit = visit
+        self.clique_ptr = clique_ptr
+        self.sep_indices = sep_indices
+        self.sep_ptr = sep_ptr
+        self.edge_child = edge_child
+        self.edge_parent = edge_parent
+        self.class_ptr = class_ptr
+        self.members = members
 
     @property
     def n_cliques(self) -> int:
@@ -358,20 +380,12 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     # overlap with the parent: its representative's later neighbours, ascending
     sep_indices, sep_ptr = _spread(reps, later_ptr, heads)
     # each non-root clique hangs off the clique of its representative's follower
-    return CliqueTree(
-        visit=visit,
-        clique_ptr=clique_ptr,
-        sep_indices=sep_indices,
-        sep_ptr=sep_ptr,
-        edge_child=np.arange(1, len(reps), dtype=np.int64),
-        edge_parent=clique_of[follower[reps[1:]]],
-        class_ptr=class_ptr,
-        members=members,
-    )
+    edge_child = np.arange(1, len(reps), dtype=np.int64)
+    return CliqueTree(visit, clique_ptr, sep_indices, sep_ptr, edge_child,
+                      clique_of[follower[reps[1:]]], class_ptr, members)
 
 
-@dataclass(frozen=True, eq=False)
-class Separators:
+class Separators(_Record):
     """The distinct minimal vertex separators of a clique tree, as arrays.
 
     Separator s is ``indices[indptr[s]:indptr[s + 1]]``, ascending, and has
@@ -386,15 +400,21 @@ class Separators:
     holds the sizes (in vertices) of the tree's ``n_cliques`` cliques.
     """
 
-    n_cliques: int
-    clique_sizes: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    sizes: np.ndarray
-    mult: np.ndarray
-    boundary: np.ndarray
-    pair_sep: np.ndarray
-    pair_clique: np.ndarray
+    __slots__ = ("n_cliques", "clique_sizes", "indptr", "indices", "sizes", "mult", "boundary",
+                 "pair_sep", "pair_clique")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, n_cliques, clique_sizes, indptr, indices, sizes, mult, boundary,
+                 pair_sep, pair_clique):
+        object.__setattr__(self, "n_cliques", n_cliques)
+        object.__setattr__(self, "clique_sizes", clique_sizes)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "pair_sep", pair_sep)
+        object.__setattr__(self, "pair_clique", pair_clique)
 
     def __len__(self) -> int:
         return len(self.mult)
@@ -484,7 +504,9 @@ def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separ
 
 def _bfs_groups(h: Graph):
     """A BFS of h from vertex 0 with its sibling groups, or None when the
-    search or a group check fails (see ``block_decomposition``).
+    search meets a bad edge or a group check fails (see
+    ``block_decomposition``); raises NotConnectedError when the search ends
+    without reaching every vertex.
 
     Returns ``(order, par, pos, group)``: the vertex at each search
     position, each vertex's parent (-1 for the root), each vertex's
@@ -508,8 +530,8 @@ def _bfs_groups(h: Graph):
                 order.append(w)
             elif pw != pv and w != pv:
                 return None
-    if len(order) < k:
-        return None
+    if len(order) < k:  # the search proved h disconnected
+        raise NotConnectedError("clique tree requires a connected graph")
     order = np.array(order)
     par = np.array(par)
     pos = np.empty(k, dtype=np.int64)
@@ -532,15 +554,18 @@ def _bfs_groups(h: Graph):
 def block_decomposition(h: Graph, class_ptr, members):
     """``(CliqueTree, Separators)`` of h read off one breadth-first search
     when h is a connected block graph, as the true-twin quotient of every
-    strictly chordal graph is; None otherwise, deciding nothing about h.
+    strictly chordal graph is; raises NotConnectedError when the search
+    misses a class; None otherwise, and for an empty h, deciding nothing.
 
     The search runs from class 0 and gives each class a parent; the
     children a class reaches are siblings.  It stops with None at an edge
-    v-w, w seen before, where w is neither v's parent nor its sibling, and
-    when it misses a class.  Siblings fall into groups: a class's group is
-    the least search position among itself and its sibling neighbours.
-    Every sibling edge must stay inside its group, and a group of s classes
-    must hold s(s - 1) sibling entries, so every group is a clique.
+    v-w, w seen before, where w is neither v's parent nor its sibling.  A
+    search that ends short of a class has proved h, and so the input,
+    disconnected: the general path's first verdict too.  Siblings fall into
+    groups: a class's group is the least search position among itself and
+    its sibling neighbours.  Every sibling edge must stay inside its group,
+    and a group of s classes must hold s(s - 1) sibling entries, so every
+    group is a clique.
 
     These checks prove h a block graph, exactly and without hashing: every
     edge lies in one of the cliques {parent} + group, each clique hangs off

@@ -2,8 +2,10 @@
 and README must name every entry.  Adding, removing or renaming a public
 name fails here until this list and README are changed with it."""
 
+import copy
 import inspect
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import strictchordal
+from strictchordal import CliqueTree, Separators, VulnerabilityReport
 from strictchordal.cli import report_document
 from strictchordal.errors import NotChordalError, NotStrictlyChordalError
 from strictchordal.generator import GenParams, random_strictly_chordal
@@ -81,6 +84,99 @@ def test_star_import_dir_and_unknown_names():
         strictchordal.nope
 
 
+# the answers a report compares and hashes by, in construction order
+ANSWERS = ("case", "toughness", "tough_set", "scattering_number", "scattering_set",
+           "clique_count")
+
+# repr(report) on fig1.gr with timings {"twins": 0.5, "blocks": 0.25}, as the
+# report's dataclass printed it before it became a slotted class
+FIG1_REPR = (
+    "VulnerabilityReport(case='tough_ge_1', toughness=Fraction(2, 1), tough_set=frozenset({0, 1,"
+    " 2, 3, 4, 5, 6, 7, 8, 9}), scattering_number=-4, scattering_set=frozenset({10, 11, 12, 13,"
+    " 14, 15, 16}), clique_count=7, separators=Separators(n_cliques=7, clique_sizes=array([17,"
+    " 11, 11, 11, 11,  8,  8]), indptr=array([ 0, 10, 17]), indices=array([ 0,  1,  2,  3,  4, "
+    " 5,  6,  7,  8,  9, 10, 11, 12, 13, 14, 15, 16]), sizes=array([10,  7]), mult=array([4, 2]),"
+    " boundary=array([4, 2]), pair_sep=array([0, 0, 0, 0, 0, 1, 1, 1]), pair_clique=array([0, 1,"
+    " 2, 3, 4, 0, 5, 6])), timings={'twins': 0.5, 'blocks': 0.25})"
+)
+
+
+def fig1_report():
+    return strictchordal.analyze(strictchordal.parse_graph(FIG1.read_text()))
+
+
+def test_reports_compare_and_hash_by_their_answers_alone():
+    r = fig1_report()
+    answers = {name: getattr(r, name) for name in ANSWERS}
+    assert VulnerabilityReport.__slots__[:6] == ANSWERS
+    other = strictchordal.analyze(strictchordal.parse_graph((FIXTURES / "fig2_g2.gr").read_text()))
+    same = [
+        VulnerabilityReport(**answers),  # the defaults: no table, no timings, no tree
+        VulnerabilityReport(*answers.values(), other.separators, {"twins": 1.0},
+                            other.clique_tree),
+        VulnerabilityReport(**answers, separators=r.separators, timings={}),
+        VulnerabilityReport(**answers, clique_tree=r.clique_tree),
+    ]
+    for twin in same:
+        assert twin == r and not twin != r and hash(twin) == hash(r)
+    assert same[0].separators == () and same[0].timings == {} and same[0].clique_tree is None
+    assert same[0].timings is not VulnerabilityReport(**answers).timings
+    for name in ANSWERS:
+        assert VulnerabilityReport(**{**answers, name: getattr(other, name)}) != r, name
+    assert r != tuple(answers.values()) and r != None  # noqa: E711
+
+
+def test_report_repr_is_unchanged():
+    r = fig1_report()
+    fields = {name: getattr(r, name) for name in VulnerabilityReport.__slots__}
+    fixed = VulnerabilityReport(**{**fields, "timings": {"twins": 0.5, "blocks": 0.25}})
+    assert repr(fixed) == FIG1_REPR
+    assert repr(r.clique_tree).startswith("CliqueTree(visit=array([")
+
+
+def test_report_and_separators_are_read_only():
+    r = fig1_report()
+    for record in (r, r.separators):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert r.case == "tough_ge_1" and r.separators.n_cliques == 7
+    # the clique tree stays assignable
+    ct = r.clique_tree
+    ct.members = ct.members.copy()
+    assert ct.members.tolist() == list(range(23))
+
+
+def test_pickle_and_copy_round_trip_a_report():
+    r = fig1_report()
+    again = pickle.loads(pickle.dumps(r))
+    assert type(again) is VulnerabilityReport and again == r and hash(again) == hash(r)
+    assert repr(again) == repr(r) and again.timings == r.timings
+    for name in Separators.__slots__:
+        assert np.array_equal(getattr(again.separators, name), getattr(r.separators, name))
+    for name in CliqueTree.__slots__:
+        assert np.array_equal(getattr(again.clique_tree, name), getattr(r.clique_tree, name))
+    shallow = copy.copy(r)
+    assert shallow is not r and shallow == r and repr(shallow) == repr(r)
+    assert all(getattr(shallow, name) is getattr(r, name) for name in VulnerabilityReport.__slots__)
+
+
+def test_records_take_keywords_and_compare_by_identity():
+    r = fig1_report()
+    seps, ct = r.separators, r.clique_tree
+    by_name = Separators(**{name: getattr(seps, name) for name in Separators.__slots__})
+    tree = CliqueTree(**{name: getattr(ct, name) for name in CliqueTree.__slots__})
+    assert repr(by_name) == repr(seps) and repr(tree) == repr(ct)
+    assert repr(Separators(*(getattr(seps, name) for name in Separators.__slots__))) == repr(seps)
+    # the tables compare by identity
+    assert by_name != seps and by_name == by_name and tree != ct and tree == tree
+    assert len({by_name, seps, tree, ct}) == 4
+
+
 def _modules_after(code):
     """The names in sys.modules of a fresh interpreter that ran ``code``."""
     src = str(Path(strictchordal.__file__).resolve().parent.parent)
@@ -95,6 +191,7 @@ def test_analysis_path_loads_neither_oracles_nor_generator():
     # the library path: parse, analyze, report
     loaded = _modules_after(f"""
 import strictchordal
+from strictchordal import CliqueTree, Separators, VulnerabilityReport
 from strictchordal.cli import report_document
 g = strictchordal.parse_graph(open({str(FIG1)!r}).read())
 report_document(g, strictchordal.analyze(g))
@@ -112,6 +209,30 @@ except SystemExit as exc:
 """)
     assert {"strictchordal.vulnerability", "argparse"} <= loaded
     assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle"})
+
+
+# what the analyze path must not import: the record machinery its slotted
+# classes replaced, and the helpers cli.py promises to import only for the
+# other commands
+NOT_ON_ANALYZE_PATH = ("dataclasses", "copy", "argparse", "random", "strictchordal.oracle",
+                       "strictchordal.generator")
+
+
+def test_analyze_path_imports_no_dataclasses_and_no_other_commands_helpers():
+    # numpy imports some of these itself (random, in numpy 2.4); dropping
+    # them from sys.modules once numpy is in shows whether the package
+    # imports one again
+    loaded = _modules_after(f"""
+import sys
+import numpy
+for name in {NOT_ON_ANALYZE_PATH!r}:
+    sys.modules.pop(name, None)
+import strictchordal.cli as cli
+g = cli.parse_graph(open({str(FIG1)!r}).read())
+cli.report_document(g, cli.analyze(g))
+""")
+    assert {"numpy", "strictchordal.cli", "strictchordal.vulnerability"} <= loaded
+    assert sorted(loaded.intersection(NOT_ON_ANALYZE_PATH)) == []
 
 
 # numpy functions that are Python code over a C entry point (the NEP 18

@@ -4,7 +4,7 @@ exactly on connected block graphs, its tables match the general path's
 
 import random
 import tracemalloc
-from dataclasses import fields
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -26,12 +26,14 @@ from test_twins import quotient_graphs
 from strictchordal import Graph, analyze, connected_components, mcs_order, verify_peo
 from strictchordal import vulnerability
 from strictchordal.chordal import (
+    Separators,
+    _clique_tree_from_mcs,
     block_decomposition,
     minimal_vertex_separators,
     true_twin_quotient,
 )
 from strictchordal.cli import report_document
-from strictchordal.errors import GraphError
+from strictchordal.errors import GraphError, NotConnectedError, NotStrictlyChordalError
 from strictchordal.generator import GenParams, random_strictly_chordal
 
 SEPARATOR_FIELDS = ("indptr", "indices", "sizes", "mult", "boundary")
@@ -80,7 +82,11 @@ def test_decomposition_exactly_on_block_graphs():
         graphs += [g, Graph(g.n, sorted(edges))]
     accepted = 0
     for g in graphs:
-        found = decompose(g)
+        try:
+            found = decompose(g)
+        except NotConnectedError:  # a search that misses a vertex proves it
+            assert connected_components(g)[0] != 1, sorted(g.edges())
+            continue
         assert (found is not None) == is_block_graph(g), sorted(g.edges())
         if found is not None:
             ct, seps = found
@@ -131,8 +137,8 @@ def test_block_path_matches_the_general_path(monkeypatch):
         # the general separator code on the block path's own tree gives its
         # table exactly, incidences included: the clique numbering is the same
         again = minimal_vertex_separators(mine.clique_tree)
-        for field in fields(seps):
-            assert np.array_equal(getattr(again, field.name), getattr(seps, field.name)), field
+        for name in Separators.__slots__:
+            assert np.array_equal(getattr(again, name), getattr(seps, name)), name
         # cliques up to numbering: each named by its vertices
         cliques, ref_cliques = _clique_ids(mine.clique_tree), _clique_ids(ref.clique_tree)
         assert seps.n_cliques == ref_seps.n_cliques == len(set(cliques))
@@ -147,6 +153,87 @@ def test_block_path_matches_the_general_path(monkeypatch):
         assert (keys[1:] > keys[:-1]).all()
         accepted += 1
     assert accepted >= 2000
+
+
+def planted_defects():
+    """Generator graphs with one planted defect each, as ``(kind, graph)``,
+    every vertex relabelled at random: a disjoint union with a second
+    generator graph or with a chordless cycle, isolated vertices, a
+    chordless cycle beside an edge, and two overlapping separators."""
+    rng = random.Random(43)
+    out = []
+    for seed in range(250):
+        g = random_strictly_chordal(GenParams(seed=seed, block_count=1 + seed % 8,
+                                              max_block_size=2 + seed % 5, max_twins=seed % 3))
+        n, edges = g.n, list(g.edges())
+        kind = ("union", "union_cycle", "isolated", "cycle", "overlap")[seed % 5]
+        if kind == "union":
+            other = random_strictly_chordal(GenParams(seed=seed + 1000, block_count=1 + seed % 4,
+                                                      max_twins=1))
+            edges += [(u + n, v + n) for u, v in other.edges()]
+            n += other.n
+        elif kind == "union_cycle":
+            k = rng.randint(4, 7)
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        elif kind == "isolated":
+            n += rng.randint(1, 3)
+        elif kind == "cycle":  # a - x1 - ... - xk - b beside the edge a-b
+            a, b = rng.choice(edges)
+            path = [a, *range(n, n + rng.randint(2, 4)), b]
+            edges += list(zip(path, path[1:]))
+            n = max(path[1:-1]) + 1
+        else:  # cliques {u,x,y}, {x,y,z}, {x,w} at u: separators {x,y} and {x}
+            u = rng.randrange(n)
+            x, y, z, w = range(n, n + 4)
+            edges += [(u, x), (u, y), (x, y), (x, z), (y, z), (x, w)]
+            n += 4
+        label = list(range(n))
+        rng.shuffle(label)
+        out.append((kind, Graph(n, [(label[u], label[v]) for u, v in edges])))
+    return out
+
+
+def _general_outcome(g: Graph):
+    """The rejection of the general stages alone, with no degree test and
+    no block search: the quotient, MCS, the clique tree, the separator table
+    and the overlap check."""
+    h, _, class_ptr, members = true_twin_quotient(g)
+    try:
+        ct = _clique_tree_from_mcs(h, mcs_order(h), class_ptr, members)
+    except GraphError as exc:
+        return exc
+    overlap = vulnerability.separator_overlap(minimal_vertex_separators(ct))
+    assert overlap is not None
+    v, first, second = overlap
+    return NotStrictlyChordalError("two minimal vertex separators share a vertex", vertex=v,
+                                   separators=(first, second))
+
+
+def test_early_rejections_match_the_general_path(monkeypatch):
+    # a vertex of degree 0, and a block search that misses a class, reject
+    # before MCS runs; the exception, its message and its witness are the
+    # general path's, with the block search on, off, and with neither early test
+    cases = planted_defects()
+    searches = []
+    mcs = vulnerability.mcs_order
+    monkeypatch.setattr(vulnerability, "mcs_order", lambda h: searches.append(h) or mcs(h))
+    mine = []
+    for kind, g in cases:
+        searches.clear()
+        mine.append((_outcome(g), len(searches)))
+    monkeypatch.setattr(vulnerability, "block_decomposition", lambda *args: None)
+    seen = Counter()
+    for (kind, g), (outcome, ran_mcs) in zip(cases, mine):
+        for ref in (_outcome(g), _general_outcome(g)):
+            assert isinstance(ref, GraphError) and type(outcome) is type(ref), kind
+            assert str(outcome) == str(ref) and vars(outcome) == vars(ref), kind
+        if kind in ("union", "isolated"):
+            assert isinstance(outcome, NotConnectedError) and not ran_mcs, kind
+        seen[kind, type(outcome).__name__] += 1
+    assert seen == {("union", "NotConnectedError"): 50, ("union_cycle", "NotConnectedError"): 50,
+                    ("isolated", "NotConnectedError"): 50, ("cycle", "NotChordalError"): 50,
+                    ("overlap", "NotStrictlyChordalError"): 50}
 
 
 def test_block_clique_tree_is_rooted_at_the_first_class():
