@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it: ``__getattr__``
 # imports the submodule on first access, so a call loads only what it uses
 _MODULE_OF = {name: module for module, names in {
-    "chordal": "CliqueTree Separators build_clique_tree mcs_order minimal_vertex_separators"
-               " verify_peo",
+    "chordal": "CliqueTree Separators",
     "errors": "CompleteGraphError GraphError InternalError NotChordalError NotConnectedError"
               " NotStrictlyChordalError ParseError TooLargeError",
+    "general": "build_clique_tree mcs_order minimal_vertex_separators verify_peo",
     "generator": "GenParams random_strictly_chordal",
     "graph": "Graph connected_components parse_graph serialize_graph",
     "oracle": "OracleResult brute_force_scattering brute_force_toughness restricted_scattering"

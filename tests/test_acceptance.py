@@ -22,7 +22,8 @@ from strictchordal import (
     restricted_scattering,
     restricted_toughness,
 )
-from strictchordal.cli import main, _random_capped_graph
+from strictchordal.cli import main
+from strictchordal.commands import _random_capped_graph
 from strictchordal.errors import CompleteGraphError
 from strictchordal.vulnerability import CASE_COMPLETE
 

@@ -177,14 +177,32 @@ def test_records_take_keywords_and_compare_by_identity():
     assert len({by_name, seps, tree, ct}) == 4
 
 
-def _modules_after(code):
-    """The names in sys.modules of a fresh interpreter that ran ``code``."""
+def _run_fresh(code):
+    """The names in sys.modules of a fresh interpreter that ran ``code``, and
+    its stderr."""
     src = str(Path(strictchordal.__file__).resolve().parent.parent)
     code += "\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(proc.stdout.splitlines()[-1].split()), proc.stderr
+
+
+def _modules_after(code):
+    """The names in sys.modules of a fresh interpreter that ran ``code``."""
+    return _run_fresh(code)[0]
+
+
+def _cli_code(*argv, exit_code=0):
+    """Code that runs ``python -m strictchordal *argv`` and checks its exit code."""
+    return f"""
+import runpy, sys
+sys.argv = ["strictchordal", *{list(argv)!r}]
+try:
+    runpy.run_module("strictchordal", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == {exit_code}, exc.code
+"""
 
 
 def test_analysis_path_loads_neither_oracles_nor_generator():
@@ -199,23 +217,42 @@ report_document(g, strictchordal.analyze(g))
     assert {"strictchordal.vulnerability", "strictchordal.cli"} <= loaded
     assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle", "argparse"})
     # python -m strictchordal analyze fig1.gr
-    loaded = _modules_after(f"""
-import runpy, sys
-sys.argv = ["strictchordal", "analyze", {str(FIG1)!r}]
-try:
-    runpy.run_module("strictchordal", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-""")
+    loaded = _modules_after(_cli_code("analyze", str(FIG1)))
     assert {"strictchordal.vulnerability", "argparse"} <= loaded
-    assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle"})
+    assert loaded.isdisjoint({"strictchordal.generator", "strictchordal.oracle",
+                              "strictchordal.general", "strictchordal.commands"})
+
+
+# stderr of the rejected fixtures, as the general path words them
+REJECTIONS = {
+    "c4.gr": "not chordal: graph is not chordal\nchordless cycle (4 vertices): 2 3 4 1\n",
+    "dart.gr": "not strictly chordal: two minimal vertex separators share a vertex\n"
+               "witness vertex: 2\noverlapping separators: [2] and [2, 4]\n",
+    "gem.gr": "not strictly chordal: two minimal vertex separators share a vertex\n"
+              "witness vertex: 5\noverlapping separators: [2, 5] and [3, 5]\n",
+}
+
+
+def test_modules_loaded_on_first_use_load_in_a_fresh_interpreter():
+    # in a test session an earlier test has usually imported these modules,
+    # so a fault in their first load (a circular import, a name evaluated at
+    # import time) shows only in a fresh interpreter
+    for name, stderr in REJECTIONS.items():
+        loaded, err = _run_fresh(_cli_code("analyze", str(FIXTURES / name), exit_code=3))
+        assert err == stderr, name
+        assert "strictchordal.general" in loaded and "strictchordal.commands" not in loaded
+    loaded = _modules_after(_cli_code("oracle", "--class-fast", str(FIG1)))
+    assert {"strictchordal.commands", "strictchordal.general", "strictchordal.oracle"} <= loaded
+    loaded = _modules_after(_cli_code("gen", "--seed", "1"))
+    assert {"strictchordal.commands", "strictchordal.generator"} <= loaded
 
 
 # what the analyze path must not import: the record machinery its slotted
-# classes replaced, and the helpers cli.py promises to import only for the
-# other commands
+# classes replaced, the helpers cli.py promises to import only for the
+# other commands, the general path, and pathlib
 NOT_ON_ANALYZE_PATH = ("dataclasses", "copy", "argparse", "random", "strictchordal.oracle",
-                       "strictchordal.generator")
+                       "strictchordal.generator", "strictchordal.general",
+                       "strictchordal.commands", "pathlib")
 
 
 def test_analyze_path_imports_no_dataclasses_and_no_other_commands_helpers():

@@ -24,16 +24,11 @@ from conftest import (
 from test_chordal import _assert_clique_tree_invariants
 from test_twins import quotient_graphs
 from strictchordal import Graph, analyze, connected_components, mcs_order, verify_peo
-from strictchordal import vulnerability
-from strictchordal.chordal import (
-    Separators,
-    _clique_tree_from_mcs,
-    block_decomposition,
-    minimal_vertex_separators,
-    true_twin_quotient,
-)
+from strictchordal import general, vulnerability
+from strictchordal.chordal import Separators, block_decomposition, true_twin_quotient
 from strictchordal.cli import report_document
 from strictchordal.errors import GraphError, NotConnectedError, NotStrictlyChordalError
+from strictchordal.general import _clique_tree_from_mcs, minimal_vertex_separators
 from strictchordal.generator import GenParams, random_strictly_chordal
 
 SEPARATOR_FIELDS = ("indptr", "indices", "sizes", "mult", "boundary")
@@ -203,7 +198,7 @@ def _general_outcome(g: Graph):
         ct = _clique_tree_from_mcs(h, mcs_order(h), class_ptr, members)
     except GraphError as exc:
         return exc
-    overlap = vulnerability.separator_overlap(minimal_vertex_separators(ct))
+    overlap = general.separator_overlap(minimal_vertex_separators(ct))
     assert overlap is not None
     v, first, second = overlap
     return NotStrictlyChordalError("two minimal vertex separators share a vertex", vertex=v,
@@ -216,8 +211,8 @@ def test_early_rejections_match_the_general_path(monkeypatch):
     # general path's, with the block search on, off, and with neither early test
     cases = planted_defects()
     searches = []
-    mcs = vulnerability.mcs_order
-    monkeypatch.setattr(vulnerability, "mcs_order", lambda h: searches.append(h) or mcs(h))
+    mcs = general.mcs_order
+    monkeypatch.setattr(general, "mcs_order", lambda h: searches.append(h) or mcs(h))
     mine = []
     for kind, g in cases:
         searches.clear()

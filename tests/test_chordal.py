@@ -32,7 +32,7 @@ from strictchordal import (
     minimal_vertex_separators,
     verify_peo,
 )
-from strictchordal.chordal import _clique_tree_from_mcs
+from strictchordal.general import _clique_tree_from_mcs
 from strictchordal.errors import NotChordalError, NotConnectedError
 from strictchordal.generator import random_strictly_chordal
 

@@ -10,7 +10,8 @@ import strictchordal
 from conftest import FIXTURE_DIR
 from strictchordal import GenParams, analyze, parse_graph, random_strictly_chordal
 from strictchordal import serialize_graph, vulnerability
-from strictchordal.cli import _random_capped_graph, main
+from strictchordal.cli import main
+from strictchordal.commands import _random_capped_graph
 from strictchordal.errors import GraphError
 
 REQUIRED_KEYS = {"n", "m", "chordal", "strictly_chordal", "separators",
@@ -303,7 +304,7 @@ def test_check_detects_injected_fault(capsys, tmp_path, monkeypatch):
             timings=report.timings,
         )
 
-    monkeypatch.setattr("strictchordal.cli.analyze", corrupted)
+    monkeypatch.setattr("strictchordal.commands.analyze", corrupted)
     code, out, err = run_cli(capsys, "check", "--count", "10", "--max-n", "12",
                              "--seed", "7", "--dump-dir", str(tmp_path))
     assert code == 4
@@ -314,7 +315,7 @@ def test_check_detects_injected_fault(capsys, tmp_path, monkeypatch):
 
 
 def test_check_dump_into_a_missing_directory_exits_2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("strictchordal.cli._check_one",
+    monkeypatch.setattr("strictchordal.commands._check_one",
                         lambda g, max_n: ("type_b", "injected mismatch"))
     dump_dir = tmp_path / "no_such_dir"
     code, out, err = run_cli(capsys, "check", "--count", "3", "--max-n", "8",

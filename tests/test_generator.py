@@ -17,8 +17,8 @@ from strictchordal import (
     random_strictly_chordal,
     serialize_graph,
 )
+from strictchordal.general import separator_overlap
 from strictchordal.generator import add_true_twins, random_block_graph
-from strictchordal.vulnerability import separator_overlap
 from strictchordal.vulnerability import CASE_COMPLETE
 
 

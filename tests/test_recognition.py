@@ -17,7 +17,7 @@ from strictchordal import (
     build_clique_tree,
     minimal_vertex_separators,
 )
-from strictchordal.vulnerability import separator_overlap
+from strictchordal.general import separator_overlap
 
 
 def pipeline(g):

@@ -31,7 +31,7 @@ from strictchordal import (
     minimal_vertex_separators,
     verify_peo,
 )
-from strictchordal.chordal import _clique_tree_from_mcs, true_twin_quotient
+from strictchordal.chordal import true_twin_quotient
 from strictchordal.cli import main, report_document
 from strictchordal.errors import (
     GraphError,
@@ -39,6 +39,7 @@ from strictchordal.errors import (
     NotConnectedError,
     NotStrictlyChordalError,
 )
+from strictchordal.general import _clique_tree_from_mcs
 from strictchordal.generator import GenParams, random_strictly_chordal
 from strictchordal.vulnerability import CASE_COMPLETE
 
