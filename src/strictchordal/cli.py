@@ -214,6 +214,8 @@ def build_parser():
     p.add_argument("--sizes", required=True, help="comma-separated target sizes")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--json", default=None, metavar="PATH",
+                   help="also write the table and the environment to PATH as JSON")
     return parser
 
 

@@ -171,7 +171,7 @@ def cmd_bench(args) -> int:
     print(f"{'target':>9} {'n':>9} {'classes':>9} {'m':>10} {'case':>11} {'time_s':>9} "
           f"{'us_per_nm':>10} {'parse_s':>9} {'ratio':>6} "
           + " ".join(f"{stage:>13}" for stage in stage_names))
-    prev = None
+    prev, rows = None, []
     for size, params in zip(sizes, runs):
         g = generator.random_strictly_chordal(params)
         text = serialize_graph(g)
@@ -195,10 +195,41 @@ def cmd_bench(args) -> int:
             finally:
                 if gc_was_enabled:
                     gc.enable()
-        ratio = "" if prev is None else f"{best / prev:.2f}"
+        row = {"target": size, "n": g.n, "classes": classes, "m": g.m, "case": case,
+               "time_s": best, "us_per_nm": best / (g.n + g.m) * 1e6, "parse_s": best_parse,
+               "ratio": None if prev is None else best / prev, "stages": dict(stages)}
+        rows.append(row)
         prev = best
+        ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"
         print(f"{size:>9} {g.n:>9} {classes:>9} {g.m:>10} {case:>11} {best:>9.3f} "
-              f"{best / (g.n + g.m) * 1e6:>10.3f} {best_parse:>9.3f} {ratio:>6} "
+              f"{row['us_per_nm']:>10.3f} {best_parse:>9.3f} {ratio:>6} "
               + " ".join(f"{stages[stage]:>13.3f}" if stage in stages else f"{'-':>13}"
                          for stage in stage_names))
+    if args.json:
+        doc = {"command": {"sizes": sizes, "seed": args.seed, "repeat": args.repeat},
+               "env": _environment(), "rows": rows}
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
+
+
+def _environment():
+    """The interpreter, numpy and core count a bench ran on, and the git
+    commit of the package's checkout (``-dirty`` if tracked files differ
+    from it; None outside a git checkout)."""
+    import os
+    import platform
+    import subprocess
+
+    import numpy as np
+
+    here = Path(__file__).resolve().parent
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here, capture_output=True,
+                             text=True, timeout=10, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--"], cwd=here,
+                               capture_output=True, timeout=10).returncode != 0
+        sha += "-dirty" if dirty else ""
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), "git_sha": sha}

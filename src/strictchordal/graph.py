@@ -57,6 +57,10 @@ class Graph:
         # ``_key_dtypes`` says so, and the heads go back into the int64
         # buffer the keys were built in: a CSR allocated last sits at the
         # heap's top, and freeing it made glibc trim what the next parse faults in.
+        # Narrow keys (more than ``_FLOOR``) take their row pointers from
+        # where the runs of equal tails start, each row's start carried back
+        # over the empty rows before it: ``np.bincount`` would first copy
+        # the uint32 tails to int64.  On int64 tails it is the faster.
         half = len(u)
         wide = np.empty(2 * half, dtype=np.int64)
         np.multiply(u, n, out=wide[:half])
@@ -71,7 +75,14 @@ class Graph:
         del fresh
         tails = keys // n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.bincount(tails, minlength=n).cumsum(out=indptr[1:])
+        if keys.dtype != wide.dtype:  # row t starts at the first key whose tail is >= t
+            at = _run_starts(tails).nonzero()[0]
+            indptr.fill(len(keys))
+            indptr[tails[at]] = at
+            np.minimum.accumulate(indptr[::-1], out=indptr[::-1])
+            del at
+        else:
+            np.bincount(tails, minlength=n).cumsum(out=indptr[1:])
         tails *= n
         heads = np.subtract(keys, tails, out=keys if keys.dtype == wide.dtype else wide[:len(keys)])
         self._store(indptr, heads, half - len(heads) // 2, id_base)
@@ -202,7 +213,7 @@ def parse_graph(text: str) -> Graph:
         pairs[lo:lo + _BLOCK] = rows[line[lo:lo + _BLOCK]]
     ids = pairs.view(np.int64).reshape(-1, 2)
     del bounds, starts, ends, rows, pairs, line
-    values, bad = _scan_ints(buf, ids[:, 0], ids[:, 1])
+    values, bad = _scan_ints(buf, ids[:, 0], ids[:, 1], b"-" in data)
     if bad < len(values):
         start, end = ids[bad]
         pending = fault(f"expected integer {what[2]}, got {_text(buf[start:end].tobytes())!r}", end)
@@ -225,14 +236,16 @@ def parse_graph(text: str) -> Graph:
 _KIND_FAULTS = {b"p": ("problem line must be 'p edge <n> <m>'", "duplicate problem line"),
                 b"e": ("edge line before problem line", "edge line must be 'e <u> <v>'")}
 _BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``parse_graph`` and ``_scan_ints``: L2-sized
+# Arrays of at most this many entries keep int64 and the plainest ops: below
+# it, narrow dtypes and extra steps cost more in setup than they save.
+_FLOOR = 1024
 
 
 def _key_dtypes(base, count):
     """dtypes of the digits below ``base`` and of ``count`` keys a * base + b:
     uint16 and uint32, which sort and divide about twice as fast as int64,
-    when they fit and there are more than 1,024 keys (fewer do not repay the
-    conversion); int64 otherwise."""
-    return (np.uint16, np.uint32) if base <= 1 << 16 and count > 1024 else (np.int64, np.int64)
+    when they fit and there are more than ``_FLOOR`` keys; int64 otherwise."""
+    return (np.uint16, np.uint32) if base <= 1 << 16 and count > _FLOOR else (np.int64, np.int64)
 
 
 def _run_starts(keys):
@@ -246,11 +259,6 @@ def _run_starts(keys):
 def _between(buf, lo, hi):
     """Mask of the bytes in lo..hi (uint8 arithmetic wraps the rest above)."""
     return buf - np.uint8(lo) <= np.uint8(hi - lo)
-
-
-def _spaces(buf):
-    """Mask of the ASCII bytes ``str.split()`` separates tokens at."""
-    return _between(buf, 9, 13) | _between(buf, 28, 32)
 
 
 _BREAK_BYTES = b"\n\x0b\x0c\r\x1c\x1d\x1e"
@@ -285,10 +293,19 @@ def _tokens(buf):
     indent); a longer gap with no break at either end is settled by a search
     over the break positions.  Where every gap is one byte, as counted from
     the whitespace, the last byte is the first and is not read again.
+
+    The whitespace mask is written straight into the padded ``space`` array,
+    each byte class through one reused uint8 temporary, so building it holds
+    two bytes per byte of text: ``space`` and the temporary.
     """
     space = np.empty(len(buf) + 2, dtype=bool)
     space[0] = space[-1] = True
-    space[1:-1] = _spaces(buf)
+    # the ASCII bytes str.split() cuts at, 9..13 and 28..32
+    mask, low = space[1:-1], np.empty(len(buf), dtype=np.uint8)
+    np.less_equal(np.subtract(buf, np.uint8(9), out=low), np.uint8(4), out=mask)
+    np.less_equal(np.subtract(buf, np.uint8(28), out=low), np.uint8(4), out=low.view(bool))
+    mask |= low.view(bool)
+    del mask, low
     whitespace = np.count_nonzero(space) - 2
     edges = space[1:] != space[:-1]
     del space
@@ -321,7 +338,7 @@ def _tokens(buf):
     return bounds, head
 
 
-def _scan_ints(buf, starts, ends):
+def _scan_ints(buf, starts, ends, signed=True):
     """``(values, bad)``: the tokens ``buf[starts[i]:ends[i]]`` as int64
     values, and the index of the first token that is not an integer, or
     ``len(values)`` if every one is.  Values past the block of the bad token
@@ -336,17 +353,26 @@ def _scan_ints(buf, starts, ends):
     widest id has w digits, pass k reads byte ``ends[i] - w + k`` of id i (0
     before id i starts).  Each block's digits are checked once, by their
     maximum.
+
+    A block of more than ``_FLOOR`` ids whose widest has at most 4 digits
+    sums its digits in uint16, and one of at most 9 digits in uint32: 9,999
+    and 999,999,999 fit, so an id of digits only never wraps.  An id with a
+    non-digit may wrap, but its maximum digit names it bad and its value is
+    never used.  The sums are cast into the int64 values once per block.
+    With ``signed`` False the caller has found no ``-`` in ``buf``, and the
+    signs are neither gathered nor applied.
     """
     value = np.zeros(len(starts), dtype=np.int64)
-    neg = buf[starts] == ord("-")
     block = min(len(value), _BLOCK)
     pos = np.empty(block, dtype=np.int64)
     top, dig, lag = np.empty(block, np.uint8), np.empty(block, np.uint8), np.empty(block, np.uint8)
     for lo in range(0, len(value), _BLOCK):
-        val, sign = value[lo:lo + _BLOCK], neg[lo:lo + _BLOCK]
+        val = value[lo:lo + _BLOCK]
         wid, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
         np.subtract(ends[lo:lo + _BLOCK], starts[lo:lo + _BLOCK], out=wid)
-        wid -= sign
+        if signed:
+            sign = buf[starts[lo:lo + _BLOCK]] == ord("-")
+            wid -= sign
         huge = wide = (wid > 18).nonzero()[0]
         if len(wide):  # those with a nonzero byte before their last 18 digits go to _int
             cut = ends[lo:lo + _BLOCK][wide] - 18
@@ -362,16 +388,22 @@ def _scan_ints(buf, starts, ends):
         np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts: w if none
         at = np.subtract(ends[lo:lo + _BLOCK], w, out=wid)  # the widths are not read again
         most.fill(0)  # largest digit per id
+        acc = val
+        if len(val) > _FLOOR and w <= 9:
+            acc = np.zeros(len(val), np.uint16 if w <= 4 else np.uint32)
         for k in range(w):
             buf.take(at, mode="clip", out=digit)
             digit -= np.uint8(ord("0"))  # wraps above 9 for non-digits
             np.putmask(digit, skip > k, 0)
             np.maximum(most, digit, out=most)
-            val *= 10
-            val += digit
+            acc *= 10
+            acc += digit
             at += 1
+        if acc is not val:
+            val[...] = acc
         val[huge] = 10**18
-        np.negative(val, out=val, where=sign)
+        if signed:
+            np.negative(val, out=val, where=sign)
         if skip.max() >= w or most.max() > 9:  # an id of no digits, or a non-digit
             return value, lo + int(((skip >= w) | (most > 9)).argmax())
     return value, len(value)

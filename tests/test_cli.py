@@ -373,6 +373,35 @@ def test_bench_prints_a_dash_for_stages_a_run_did_not_time(capsys, monkeypatch):
     assert "-" not in second[-3:]
 
 
+def test_bench_json_holds_what_the_table_prints(capsys, tmp_path):
+    import numpy as np
+
+    path = tmp_path / "bench.json"
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "300,600", "--seed", "3",
+                           "--json", str(path))
+    assert code == 0
+    header, *table = [line.split() for line in out.splitlines() if line.strip()]
+    doc = json.loads(path.read_text())
+    assert doc["command"] == {"sizes": [300, 600], "seed": 3, "repeat": 1}
+    env = doc["env"]
+    assert (env["numpy"], env["cpu_count"]) == (np.__version__, os.cpu_count())
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["git_sha"] is None or len(env["git_sha"]) >= 40
+    assert len(doc["rows"]) == len(table) == 2
+    for printed, row in zip(table, doc["rows"]):
+        if row["ratio"] is None:  # printed blank
+            printed.insert(header.index("ratio"), "")
+        cells = dict(zip(header, printed))
+        assert [str(row[key]) for key in ("target", "n", "classes", "m", "case")] == \
+            [cells[key] for key in ("target", "n", "classes", "m", "case")]
+        for key in ("time_s", "us_per_nm", "parse_s"):
+            assert f"{row[key]:.3f}" == cells[key]
+        assert {stage: f"{s:.3f}" for stage, s in row["stages"].items()} == \
+            {stage: cells[stage] for stage in header[9:]}
+    assert doc["rows"][0]["ratio"] is None
+    assert f"{doc['rows'][1]['ratio']:.2f}" == table[1][8]
+
+
 @pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
 def test_bench_rejects_a_bad_size_before_any_output(capsys, sizes):
     code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--seed", "1")
