@@ -63,8 +63,8 @@ def true_twin_quotient(g: Graph):
     rest ascending.  ``h`` is g induced on ``reps``, with ``reps[x]``
     renumbered x; it is g itself when no vertex has a twin.
 
-    v joins the least vertex sharing its 64-bit fingerprint of the closed
-    neighbourhood (the sum of its members' keys) if their degrees agree.
+    v joins the least vertex sharing its 64-bit fingerprint: the sum of its
+    closed neighbourhood's keys plus an odd multiple of its degree.
     Counting the CSR entries between each pair of classes certifies them:
     a class A of two or more vertices must hold |A|(|A| - 1) (a clique),
     classes A != B none or |A||B| (all or nothing).  If a count fails,
@@ -80,12 +80,13 @@ def true_twin_quotient(g: Graph):
     deg = indptr[1:] - indptr[:-1]
     ids = np.arange(n, dtype=np.int64)
     # fingerprint of N[v]: v's key plus its row's wrapping sum, taken over
-    # the non-empty rows (reduceat reads one entry for an empty row)
+    # the non-empty rows (reduceat reads one entry for an empty row), plus
+    # an odd multiple of v's degree
     fp = _mix_keys(ids)
     full = deg.nonzero()[0]
     fp[full] += np.add.reduceat(fp[indices], indptr[full])
-    least = _least_of_groups(fp)
-    rep = np.where(deg == deg[least], least, ids)
+    fp += deg.view(np.uint64) * _MUL1
+    rep = _least_of_groups(fp)
     is_rep = rep == ids
     reps = is_rep.nonzero()[0]
     k = len(reps)
@@ -268,60 +269,11 @@ def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separ
     )
 
 
-def _bfs_groups(h: Graph):
-    """A BFS of h from vertex 0 with its sibling groups, or None when the
-    search meets a bad edge or a group check fails (see
-    ``block_decomposition``); raises NotConnectedError when the search ends
-    without reaching every vertex.
-
-    Returns ``(order, par, pos, group)``: the vertex at each search
-    position, each vertex's parent (-1 for the root), each vertex's
-    position, and the group of the vertex at each position, named by the
-    group's least position (the root is alone in group 0).
-    """
-    k = h.n
-    if k == 0:
-        return None
-    indptr, indices = h.csr()
-    bounds, flat = memoryview(indptr), memoryview(indices)
-    par = [-2] * k  # -2: not reached yet
-    par[0] = -1
-    order = [0]
-    for v in order:  # grows while it is read: the queue
-        pv = par[v]
-        for w in flat[bounds[v]:bounds[v + 1]]:
-            pw = par[w]
-            if pw == -2:
-                par[w] = v
-                order.append(w)
-            elif pw != pv and w != pv:
-                return None
-    if len(order) < k:  # the search proved h disconnected
-        raise NotConnectedError("clique tree requires a connected graph")
-    order = np.array(order)
-    par = np.array(par)
-    pos = np.empty(k, dtype=np.int64)
-    pos[order] = np.arange(k)
-    # sibling entries of the CSR: both ends have one parent (the root none)
-    sib = (par.repeat(indptr[1:] - indptr[:-1]) == par[indices]).nonzero()[0]
-    tail = indptr.searchsorted(sib, side="right") - 1
-    head = indices[sib]
-    del sib
-    group = pos.copy()
-    np.minimum.at(group, tail, pos[head])
-    tail, head = group[tail], group[head]
-    size = np.bincount(group, minlength=k)
-    if (np.count_nonzero(tail != head)
-            or np.count_nonzero(np.bincount(tail, minlength=k) != size * (size - 1))):
-        return None
-    return order, par, pos, group[order]
-
-
 def block_decomposition(h: Graph, class_ptr, members):
     """``(CliqueTree, Separators)`` of h read off one breadth-first search
     when h is a connected block graph, as the true-twin quotient of every
-    strictly chordal graph is; raises NotConnectedError when the search
-    misses a class; None otherwise, and for an empty h, deciding nothing.
+    strictly chordal graph is; raises NotConnectedError when h is empty or
+    the search misses a class; None otherwise: take the general path.
 
     The search runs from class 0 and gives each class a parent; the
     children a class reaches are siblings.  It stops with None at an edge
@@ -348,12 +300,44 @@ def block_decomposition(h: Graph, class_ptr, members):
     table is assembled by ``_separator_table``, which
     ``general.minimal_vertex_separators`` ends in too.
     """
-    found = _bfs_groups(h)
-    if found is None:
+    k = h.n
+    if k == 0:
+        raise NotConnectedError()
+    indptr, indices = h.csr()
+    bounds, flat = memoryview(indptr), memoryview(indices)
+    par = [-2] * k  # -2: not reached yet
+    par[0] = -1
+    order = [0]
+    for v in order:  # grows while it is read: the queue
+        pv = par[v]
+        for w in flat[bounds[v]:bounds[v + 1]]:
+            pw = par[w]
+            if pw == -2:
+                par[w] = v
+                order.append(w)
+            elif pw != pv and w != pv:
+                return None
+    if len(order) < k:  # the search proved h disconnected
+        raise NotConnectedError()
+    order = np.array(order)
+    par = np.array(par)
+    pos = np.empty(k, dtype=np.int64)
+    pos[order] = np.arange(k)
+    # sibling entries of the CSR: both ends have one parent (the root none);
+    # each position's group is named by the group's least position
+    sib = (par.repeat(indptr[1:] - indptr[:-1]) == par[indices]).nonzero()[0]
+    tail = indptr.searchsorted(sib, side="right") - 1
+    head = indices[sib]
+    del sib
+    group = pos.copy()
+    np.minimum.at(group, tail, pos[head])
+    tail, head = group[tail], group[head]
+    size = np.bincount(group, minlength=k)
+    if (np.count_nonzero(tail != head)
+            or np.count_nonzero(np.bincount(tail, minlength=k) != size * (size - 1))):
         return None
-    order, par, pos, group = found
-    del found  # each array goes once its last use is past
-    k = len(order)
+    del tail, head, size  # each array goes once its last use is past
+    group = group[order]
     group[0] = min(k - 1, 1)  # the root joins the block of the first class it reached
     lead = group == np.arange(k)
     clique = lead.cumsum() - 1

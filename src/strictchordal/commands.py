@@ -16,7 +16,6 @@ from pathlib import Path
 from .cli import EXIT_MISMATCH, EXIT_OK, _ids, _load_graph, _print_class_error, _toughness_doc
 from .errors import CompleteGraphError, NotChordalError, NotConnectedError
 from .errors import NotStrictlyChordalError, ParseError, TooLargeError
-from .general import build_clique_tree, minimal_vertex_separators
 from .graph import Graph, connected_components, parse_graph, serialize_graph
 from .vulnerability import CASE_COMPLETE, analyze
 
@@ -31,6 +30,7 @@ def _oracle_result_doc(result, g, kind):
 
 def cmd_oracle(args) -> int:
     from . import oracle
+    from .general import build_clique_tree, minimal_vertex_separators
 
     g = _load_graph(args.path)
     doc = {"n": g.n, "m": g.m, "mode": "separator_unions" if args.class_fast else "full"}
@@ -157,6 +157,8 @@ def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ParseError("--sizes needs a comma-separated list of target sizes")
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     # GenParams checks each size, so a bad one stops the run before any output
     runs = [generator.GenParams(seed=args.seed + i, target_n=size,
                                 max_block_size=6, max_twins=1)
@@ -176,7 +178,7 @@ def cmd_bench(args) -> int:
         g = generator.random_strictly_chordal(params)
         text = serialize_graph(g)
         best = best_parse = float("inf")
-        for _ in range(max(1, args.repeat)):
+        for _ in range(args.repeat):
             # timeit-style: collector suspended while the clock runs
             gc_was_enabled = gc.isenabled()
             gc.disable()

@@ -18,6 +18,9 @@ class ParseError(GraphError):
 class NotConnectedError(GraphError):
     """The graph is not connected; the analysis requires connected input."""
 
+    def __init__(self, message="clique tree requires a connected graph"):
+        super().__init__(message)
+
 
 class NotChordalError(GraphError):
     """The graph contains a chordless cycle of length >= 4.

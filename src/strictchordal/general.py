@@ -177,7 +177,7 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     # a connected graph has exactly one vertex without later neighbours (the
     # last of the ordering); each extra one starts another component
     if n == 0 or int((sizes == 0).sum()) != 1:
-        raise NotConnectedError("clique tree requires a connected graph")
+        raise NotConnectedError()
     if len(bad_u):
         cycle = None
         for u, a, b in zip(bad_u.tolist(), bad_f.tolist(), bad_w.tolist()):

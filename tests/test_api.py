@@ -245,6 +245,16 @@ def test_modules_loaded_on_first_use_load_in_a_fresh_interpreter():
     assert {"strictchordal.commands", "strictchordal.general", "strictchordal.oracle"} <= loaded
     loaded = _modules_after(_cli_code("gen", "--seed", "1"))
     assert {"strictchordal.commands", "strictchordal.generator"} <= loaded
+    assert "strictchordal.general" not in loaded
+
+
+def test_the_empty_graph_is_not_connected_before_any_stage(tmp_path):
+    # the row-pointer test rules on n = 0 too: no quotient, no general path
+    path = tmp_path / "empty.gr"
+    path.write_text("p edge 0 0\n")
+    loaded, err = _run_fresh(_cli_code("analyze", str(path), exit_code=3))
+    assert err == "not connected: clique tree requires a connected graph\n"
+    assert "strictchordal.general" not in loaded
 
 
 # what the analyze path must not import: the record machinery its slotted

@@ -448,6 +448,8 @@ BAD_OPTION_VALUES = [
     ["gen", "--seed", "1", "--target-n", "100", "--max-block", "2000000"],
     ["bench", "--sizes", "10,abc", "--seed", "1"],
     ["bench", "--sizes", "0", "--seed", "1"],
+    ["bench", "--sizes", "10", "--seed", "1", "--repeat", "0"],  # ran once
+    ["bench", "--sizes", "10", "--seed", "1", "--repeat", "-3"],
 ]
 
 
@@ -463,3 +465,4 @@ def test_bad_option_values_exit_2(argv):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == "", proc.stdout
