@@ -57,11 +57,11 @@ def _least_of_groups(fp):
 def true_twin_quotient(g: Graph):
     """Classes of mutual true twins of g and the graph on one vertex of each.
 
-    Returns ``(h, reps, class_ptr, members)``.  ``reps`` holds the least
-    vertex of each class, ascending; class x is
-    ``members[class_ptr[x]:class_ptr[x + 1]]``, ``reps[x]`` first and the
-    rest ascending.  ``h`` is g induced on ``reps``, with ``reps[x]``
-    renumbered x; it is g itself when no vertex has a twin.
+    Returns ``(h, class_ptr, members)``.  Class x is
+    ``members[class_ptr[x]:class_ptr[x + 1]]``, ascending, and classes
+    ascend by their first (least) vertex, the representative
+    ``members[class_ptr[x]]``.  ``h`` is g induced on the representatives,
+    with class x's renumbered x; it is g itself when no vertex has a twin.
 
     v joins the least vertex sharing its 64-bit fingerprint: the sum of its
     closed neighbourhood's keys plus an odd multiple of its degree.
@@ -88,10 +88,9 @@ def true_twin_quotient(g: Graph):
     fp += deg.view(np.uint64) * _MUL1
     rep = _least_of_groups(fp)
     is_rep = rep == ids
-    reps = is_rep.nonzero()[0]
-    k = len(reps)
+    k = int(np.count_nonzero(is_rep))  # a Python int: an int64 k fails the uint32 multiply
     if k == n:
-        return g, ids, np.arange(n + 1, dtype=np.int64), ids
+        return g, np.arange(n + 1, dtype=np.int64), ids
     digit, key = _key_dtypes(k, len(indices))
     # class ids (a 16-bit cumsum wraps only past k - 1) and, sorted, every
     # CSR entry labelled with its class pair: each pair is a run
@@ -106,13 +105,13 @@ def true_twin_quotient(g: Graph):
     inner = a == b
     if (np.count_nonzero(inner) != np.count_nonzero(size > 1)
             or ((size[a] * (size[b] - inner)).cumsum() != ends).any()):
-        return g, ids, np.arange(n + 1, dtype=np.int64), ids
+        return g, np.arange(n + 1, dtype=np.int64), ids
     class_ptr = np.zeros(k + 1, dtype=np.int64)
     size.cumsum(out=class_ptr[1:])
     # h's rows are the runs between two classes, ascending by pair
     h_indptr = np.bincount(a[~inner] + 1, minlength=k + 1).cumsum()
     h = Graph._from_csr(h_indptr, b[~inner], g.id_base)
-    return h, reps, class_ptr, cls.argsort(kind="stable")
+    return h, class_ptr, cls.argsort(kind="stable")
 
 
 class _Record:
@@ -129,6 +128,12 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, k) for k in self.__slots__)
 
+    def _fill(self, fields):
+        """Set every slot from ``fields``, the ``locals()`` of ``__init__``."""
+        set_slot = object.__setattr__  # past a read-only record's own __setattr__
+        for k in self.__slots__:
+            set_slot(self, k, fields[k])
+
 
 def _read_only(self, name, value=None):
     """``__setattr__`` and ``__delattr__`` of a record its ``__init__`` fills."""
@@ -144,7 +149,7 @@ class CliqueTree(_Record):
     ``visit[clique_ptr[q]:clique_ptr[q + 1]]``, representative first, and its
     separator row ``sep_indices[sep_ptr[q]:sep_ptr[q + 1]]``, ascending: its
     overlap with its parent clique (empty for the root, clique 0).  Tree edge
-    e joins ``edge_child[e]`` to ``edge_parent[e]`` and is labelled with the
+    e joins clique e + 1 to ``edge_parent[e]`` and is labelled with the
     child's row.  ``clique(q)`` (own classes, then the row) and
     ``separator_slice(e)`` spread the classes into vertices, each class
     ascending.  All of it comes from the CSR arrays of the graph the search
@@ -153,19 +158,11 @@ class CliqueTree(_Record):
     by the maximum-cardinality search otherwise.
     """
 
-    __slots__ = ("visit", "clique_ptr", "sep_indices", "sep_ptr", "edge_child", "edge_parent",
-                 "class_ptr", "members")
+    __slots__ = ("visit", "clique_ptr", "sep_indices", "sep_ptr", "edge_parent", "class_ptr",
+                 "members")
 
-    def __init__(self, visit, clique_ptr, sep_indices, sep_ptr, edge_child, edge_parent,
-                 class_ptr, members):
-        self.visit = visit
-        self.clique_ptr = clique_ptr
-        self.sep_indices = sep_indices
-        self.sep_ptr = sep_ptr
-        self.edge_child = edge_child
-        self.edge_parent = edge_parent
-        self.class_ptr = class_ptr
-        self.members = members
+    def __init__(self, visit, clique_ptr, sep_indices, sep_ptr, edge_parent, class_ptr, members):
+        self._fill(locals())
 
     @property
     def n_cliques(self) -> int:
@@ -177,8 +174,7 @@ class CliqueTree(_Record):
         return _spread(classes, self.class_ptr, self.members)[0]
 
     def separator_slice(self, e: int) -> np.ndarray:
-        child = self.edge_child[e]
-        classes = self.sep_indices[self.sep_ptr[child]:self.sep_ptr[child + 1]]
+        classes = self.sep_indices[self.sep_ptr[e + 1]:self.sep_ptr[e + 2]]
         return _spread(classes, self.class_ptr, self.members)[0]
 
 
@@ -186,10 +182,11 @@ def _spread(xs, class_ptr, members):
     """Rows ``xs`` of the CSR ``(class_ptr, members)``, concatenated, and
     the prefix sums of their lengths (``ends[i]`` entries come before row
     xs[i]); on the class CSR, the classes of the vertices ``xs``."""
-    sizes = class_ptr[xs + 1] - class_ptr[xs]
+    starts = class_ptr[xs]
+    sizes = class_ptr[xs + 1] - starts
     ends = np.zeros(len(xs) + 1, dtype=np.int64)
     sizes.cumsum(out=ends[1:])
-    at = np.arange(ends[-1]) + (class_ptr[xs] - ends[:-1]).repeat(sizes)
+    at = np.arange(ends[-1]) + (starts - ends[:-1]).repeat(sizes)
     return members[at], ends
 
 
@@ -214,15 +211,7 @@ class Separators(_Record):
 
     def __init__(self, n_cliques, clique_sizes, indptr, indices, sizes, mult, boundary,
                  pair_sep, pair_clique):
-        object.__setattr__(self, "n_cliques", n_cliques)
-        object.__setattr__(self, "clique_sizes", clique_sizes)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "pair_sep", pair_sep)
-        object.__setattr__(self, "pair_clique", pair_clique)
+        self._fill(locals())
 
     def __len__(self) -> int:
         return len(self.mult)
@@ -232,9 +221,8 @@ class Separators(_Record):
         return frozenset(self.indices[self.indptr[s]:self.indptr[s + 1]].tolist())
 
 
-def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separators:
-    """The ``Separators`` table of ``ct``, whose class x has
-    ``class_sizes[x]`` vertices and whose tree edge e is labelled with
+def _separator_table(ct: CliqueTree, sid, indptr, indices) -> Separators:
+    """The ``Separators`` table of ``ct`` whose tree edge e is labelled with
     separator ``sid[e]``, separator s being the ascending vertex row
     ``indices[indptr[s]:indptr[s + 1]]``.  Both decomposition paths end
     here: it orders the incidences, finds the boundary cliques and counts
@@ -242,6 +230,7 @@ def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separ
     """
     n_cliques = ct.n_cliques
     n_seps = len(indptr) - 1
+    class_sizes = ct.class_ptr[1:] - ct.class_ptr[:-1]
     # a clique's size is its own run's plus its row's, both in vertices; the
     # graph is connected, so only the root's row is empty
     clique_sizes = np.add.reduceat(class_sizes[ct.visit], ct.clique_ptr[:-1])
@@ -249,7 +238,7 @@ def _separator_table(ct: CliqueTree, class_sizes, sid, indptr, indices) -> Separ
     # distinct (separator, clique) incidences from both edge endpoints, each
     # array freed or reused once read
     pairs = np.concatenate((sid, sid)) * n_cliques
-    pairs += np.concatenate((ct.edge_child, ct.edge_parent))
+    pairs += np.concatenate((np.arange(1, n_cliques), ct.edge_parent))
     pairs.sort()
     pairs = pairs[_run_starts(pairs)]
     pair_clique = pairs % n_cliques
@@ -353,16 +342,11 @@ def block_decomposition(h: Graph, class_ptr, members):
     del pos
     sep_ptr = np.arange(-1, nq)
     sep_ptr[0] = 0
-    edge_child = sep_ptr[2:]  # 1, ..., nq - 1
     ct = CliqueTree(visit=visit, clique_ptr=clique_ptr, sep_indices=row, sep_ptr=sep_ptr,
-                    edge_child=edge_child, edge_parent=clique[row],
-                    class_ptr=class_ptr, members=members)
+                    edge_parent=clique[row], class_ptr=class_ptr, members=members)
     del clique
     # the separators are the cut classes, ascending, each spread into its
     # vertices; tree edge e is labelled with its child's row, a cut class
-    class_sizes = class_ptr[1:] - class_ptr[:-1]
     is_cut = np.bincount(row, minlength=k) > 0
-    ends = np.zeros(np.count_nonzero(is_cut) + 1, dtype=np.int64)
-    class_sizes[is_cut].cumsum(out=ends[1:])
-    return ct, _separator_table(ct, class_sizes, (is_cut.cumsum() - 1)[row], ends,
-                                members[is_cut.repeat(class_sizes)])  # classes are runs of members
+    vertices, ends = _spread(is_cut.nonzero()[0], class_ptr, members)
+    return ct, _separator_table(ct, (is_cut.cumsum() - 1)[row], ends, vertices)

@@ -115,9 +115,9 @@ def _dump_structures(g: Graph, report, dump_ct: bool, dump_cb: bool) -> None:
         for q in range(ct.n_cliques):
             members = " ".join(str(v + base) for v in sorted(ct.clique(q).tolist()))
             print(f"clique {q}: {members}", file=sys.stderr)
-        for e, (c, p) in enumerate(zip(ct.edge_child.tolist(), ct.edge_parent.tolist())):
+        for e, p in enumerate(ct.edge_parent.tolist()):
             members = " ".join(str(v + base) for v in sorted(ct.separator_slice(e).tolist()))
-            print(f"edge {c} - {p} separator: {members}", file=sys.stderr)
+            print(f"edge {e + 1} - {p} separator: {members}", file=sys.stderr)
     if dump_cb:
         # Graphviz-style: clique nodes q*, separator nodes s* (table ids),
         # each separator labelled with its vertices in file numbering

@@ -204,9 +204,8 @@ def _clique_tree_from_mcs(g: Graph, order, class_ptr, members) -> CliqueTree:
     # overlap with the parent: its representative's later neighbours, ascending
     sep_indices, sep_ptr = _spread(reps, later_ptr, heads)
     # each non-root clique hangs off the clique of its representative's follower
-    edge_child = np.arange(1, len(reps), dtype=np.int64)
-    return CliqueTree(visit, clique_ptr, sep_indices, sep_ptr, edge_child,
-                      clique_of[follower[reps[1:]]], class_ptr, members)
+    return CliqueTree(visit, clique_ptr, sep_indices, sep_ptr, clique_of[follower[reps[1:]]],
+                      class_ptr, members)
 
 
 def minimal_vertex_separators(ct: CliqueTree) -> Separators:
@@ -220,10 +219,10 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     The table is then assembled by ``_separator_table``, which
     ``block_decomposition`` ends in too.
     """
-    n_edges = len(ct.edge_child)
+    n_edges = len(ct.edge_parent)
     vals = ct.sep_indices
-    heads = ct.sep_ptr[ct.edge_child]  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
-    lens = ct.sep_ptr[ct.edge_child + 1] - heads
+    heads = ct.sep_ptr[1:-1]  # edge e's row is vals[heads[e]:heads[e] + lens[e]]
+    lens = ct.sep_ptr[2:] - heads
     # rows in lexicographic order (a row before the longer rows it begins):
     # by the first class, then run by run of equal prefixes by each later
     # column over the rows reaching it, so work and memory follow the entries
@@ -242,12 +241,12 @@ def minimal_vertex_separators(ct: CliqueTree) -> Separators:
     sid[order] = fresh.cumsum() - 1
     firsts = order[fresh]  # one tree edge per distinct row, in row order
     # each row's classes spread into vertices, sorted within the row
-    classes, row_ptr = _spread(ct.edge_child[firsts], ct.sep_ptr, vals)
+    classes, row_ptr = _spread(firsts + 1, ct.sep_ptr, vals)
     vertices, ends = _spread(classes, ct.class_ptr, ct.members)
     row_ptr = ends[row_ptr]
     sizes = row_ptr[1:] - row_ptr[:-1]
     vertices = vertices[np.lexsort((vertices, np.arange(len(firsts)).repeat(sizes)))]
-    return _separator_table(ct, ct.class_ptr[1:] - ct.class_ptr[:-1], sid, row_ptr, vertices)
+    return _separator_table(ct, sid, row_ptr, vertices)
 
 
 def separator_overlap(seps: Separators):

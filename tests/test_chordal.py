@@ -32,7 +32,7 @@ from strictchordal import (
     minimal_vertex_separators,
     verify_peo,
 )
-from strictchordal.general import _clique_tree_from_mcs
+from strictchordal.general import _clique_tree_from_mcs, find_chordless_cycle
 from strictchordal.errors import NotChordalError, NotConnectedError
 from strictchordal.generator import random_strictly_chordal
 
@@ -122,20 +122,20 @@ def test_clique_tree_single_clique():
     ct = build_clique_tree(complete_graph(4))
     assert ct.n_cliques == 1
     assert sorted(ct.clique(0).tolist()) == [0, 1, 2, 3]
-    assert len(ct.edge_child) == 0
+    assert len(ct.edge_parent) == 0
 
 
 def test_clique_tree_path():
     ct = build_clique_tree(path_graph(3))
     assert sorted(sorted(ct.clique(q).tolist()) for q in range(2)) == [[0, 1], [1, 2]]
-    assert len(ct.edge_child) == 1 and ct.separator_slice(0).tolist() == [1]
+    assert len(ct.edge_parent) == 1 and ct.separator_slice(0).tolist() == [1]
 
 
 def test_clique_tree_fig2_g2_counts():
     g = load_fixture("fig2_g2.gr")
     ct = build_clique_tree(g)
     assert ct.n_cliques == 12
-    assert len(ct.edge_child) == 11
+    assert len(ct.edge_parent) == 11
     assert {frozenset(ct.clique(q).tolist()) for q in range(12)} == reference_cliques(g)
 
 
@@ -145,6 +145,13 @@ def test_clique_tree_rejects_non_chordal():
     cycle = err.value.cycle
     assert cycle is not None and len(cycle) == 4
     _assert_chordless_cycle(cycle_graph(4), cycle)
+
+
+def test_find_chordless_cycle_closes_a_cycle_or_finds_none():
+    # 0 and 2 are non-adjacent neighbours of 1: C4 closes them through 3,
+    # the path 0-1-2 has no way round 1
+    assert find_chordless_cycle(cycle_graph(4), 1, 0, 2) == [1, 0, 3, 2]
+    assert find_chordless_cycle(path_graph(3), 1, 0, 2) is None
 
 
 def test_clique_tree_rejects_disconnected():
@@ -210,8 +217,8 @@ def _assert_clique_tree_invariants(g: Graph, ct):
     cliques = [frozenset(ct.clique(q).tolist()) for q in range(ct.n_cliques)]
     assert set(cliques) == reference_cliques(g)
     # edges form a tree over the cliques
-    assert len(ct.edge_child) == ct.n_cliques - 1
-    edges = list(zip(ct.edge_child.tolist(), ct.edge_parent.tolist()))
+    assert len(ct.edge_parent) == ct.n_cliques - 1
+    edges = list(enumerate(ct.edge_parent.tolist(), 1))
     uf = UnionFind(ct.n_cliques)
     for e, (c, p) in enumerate(edges):
         assert uf.find(c) != uf.find(p), "cycle in clique tree"
@@ -323,7 +330,7 @@ def test_separators_sorted_by_smallest_vertex_and_multiplicity_sum():
         seps = minimal_vertex_separators(ct)
         mins = [min(sep) for sep in rows(seps)]
         assert mins == sorted(mins)
-        assert seps.mult.sum() == len(ct.edge_child)
+        assert seps.mult.sum() == len(ct.edge_parent)
 
 
 @settings(max_examples=150, deadline=None)
@@ -339,7 +346,7 @@ def test_separators_match_tree_edge_labels_in_lexicographic_order(seed, n):
     except NotConnectedError:
         return
     labels = {}
-    for e in range(len(ct.edge_child)):
+    for e in range(len(ct.edge_parent)):
         sep = frozenset(ct.separator_slice(e).tolist())
         labels[sep] = labels.get(sep, 0) + 1
     expected = sorted((sorted(sep), mult) for sep, mult in labels.items())

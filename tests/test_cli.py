@@ -59,6 +59,13 @@ def test_analyze_complete_graph(capsys):
     assert doc["case"] == "complete"
 
 
+def test_analyze_complete_graph_human_output(capsys):
+    code, out, err = run_cli(capsys, "analyze", fixture("k7.gr"))
+    assert code == 0
+    assert "toughness: infinite (complete graph)\n" in out
+    assert "scattering number: undefined (complete graph)\n" in out
+
+
 def test_analyze_not_chordal_exit_code(capsys):
     code, out, err = run_cli(capsys, "analyze", fixture("c4.gr"))
     assert code == 3
@@ -170,9 +177,9 @@ def test_dumps_print_the_reports_clique_tree(tmp_path, capsys):
         ct = report.clique_tree
         assert printed == {q: sorted(v + g.id_base for v in ct.clique(q).tolist())
                            for q in range(ct.n_cliques)}
-        assert edges == [(int(ct.edge_child[e]), int(ct.edge_parent[e]),
+        assert edges == [(e + 1, int(ct.edge_parent[e]),
                           sorted(v + g.id_base for v in ct.separator_slice(e).tolist()))
-                         for e in range(len(ct.edge_child))]
+                         for e in range(len(ct.edge_parent))]
         seps = report.separators
         pairs = list(zip(seps.pair_sep.tolist(), seps.pair_clique.tolist()))
         for s, q in pairs:
@@ -202,6 +209,21 @@ def test_oracle_class_fast_fig1(capsys):
     assert doc["scattering"]["value"] == -4
     assert doc["scattering"]["witness"] == list(range(11, 18))
     assert doc["toughness"]["value"]["num"] == 2
+
+
+def test_oracle_class_fast_rejects_input_outside_the_class(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "oracle", fixture("c4.gr"), "--class-fast")
+    assert (code, out) == (3, "")
+    assert err.startswith("not chordal")
+    # the chordless cycle, in the file's 1-based numbering
+    cycle = [int(v) for v in err.splitlines()[1].split(": ")[1].split()]
+    assert sorted(cycle) == [1, 2, 3, 4]
+    assert all(abs(a - b) in (1, 3) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    path = tmp_path / "edge_and_isolated.gr"
+    path.write_text("p edge 3 1\ne 1 2\n")
+    code, out, err = run_cli(capsys, "oracle", str(path), "--class-fast")
+    assert (code, out) == (3, "")
+    assert err.startswith("not connected")
 
 
 def test_oracle_complete(capsys):
@@ -359,7 +381,7 @@ def test_bench_prints_a_dash_for_stages_a_run_did_not_time(capsys, monkeypatch):
     # the 300-vertex graph is sent down the general path: its row has no
     # blocks time, and the general stages have no columns of their own
     forced = len(vulnerability.true_twin_quotient(random_strictly_chordal(
-        GenParams(seed=3, target_n=300, max_block_size=6, max_twins=1)))[1])
+        GenParams(seed=3, target_n=300, max_block_size=6, max_twins=1)))[1]) - 1
     blocks = vulnerability.block_decomposition
     monkeypatch.setattr(vulnerability, "block_decomposition",
                         lambda h, *rest: None if h.n == forced else blocks(h, *rest))
@@ -410,6 +432,12 @@ def test_bench_rejects_a_bad_size_before_any_output(capsys, sizes):
     assert err == "error: target_n must be between 2 and 10000000\n"
 
 
+def test_bench_rejects_an_empty_size_list(capsys):
+    code, out, err = run_cli(capsys, "bench", "--sizes", ",", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --sizes needs a comma-separated list of target sizes\n"
+
+
 def test_bench_per_element_cost_stable_across_runs(capsys):
     costs = []
     for _ in range(2):
@@ -450,6 +478,7 @@ BAD_OPTION_VALUES = [
     ["bench", "--sizes", "0", "--seed", "1"],
     ["bench", "--sizes", "10", "--seed", "1", "--repeat", "0"],  # ran once
     ["bench", "--sizes", "10", "--seed", "1", "--repeat", "-3"],
+    ["bench", "--sizes", ",", "--seed", "1"],
 ]
 
 

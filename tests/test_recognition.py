@@ -93,7 +93,7 @@ def test_cb_labels_initialized():
     # the sizes and multiplicities the type-B pass starts from
     ct, seps = pipeline(double_star())
     assert seps.clique_sizes.tolist() == [len(ct.clique(q)) for q in range(ct.n_cliques)]
-    tree_seps = [frozenset(ct.separator_slice(e).tolist()) for e in range(len(ct.edge_child))]
+    tree_seps = [frozenset(ct.separator_slice(e).tolist()) for e in range(len(ct.edge_parent))]
     for i, sep in enumerate(rows(seps)):
         assert seps.sizes[i] == len(sep)
         assert seps.mult[i] == tree_seps.count(sep)
