@@ -121,7 +121,7 @@ def add_true_twins(g: Graph, params: GenParams) -> Graph:
     keep = (a != b)[pair] | (i < k)
     u = members[start[a][pair] + i][keep]
     w = members[start[b][pair] + k][keep]
-    return Graph._from_arrays(n, u, w, id_base=1)
+    return Graph._from_pairs(n, np.stack((u, w), axis=1), id_base=1)
 
 
 def random_strictly_chordal(params: GenParams) -> Graph:

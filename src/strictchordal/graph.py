@@ -40,33 +40,40 @@ class Graph:
             if out[i]:
                 raise ValueError(f"vertex id out of range: ({u[i]}, {v[i]})")
             raise ValueError(f"self-loop at vertex {u[i]}")
-        self._build(n, u, v, id_base)
+        self._build(n, pairs, id_base)
 
     @classmethod
-    def _from_arrays(cls, n: int, u, v, id_base: int) -> Graph:
-        """Graph from int64 endpoint arrays already checked for range and
-        self-loops, with ``n <= MAX_VERTICES``."""
+    def _from_pairs(cls, n: int, pairs, id_base: int) -> Graph:
+        """Graph from an (m, 2) int64 array of endpoints, C- or column-major
+        contiguous, already checked for range and self-loops, with
+        ``n <= MAX_VERTICES``.  The graph takes the array over: its memory
+        becomes the CSR's indices."""
         g = cls.__new__(cls)
-        g._build(n, u, v, id_base)
+        g._build(n, pairs, id_base)
         return g
 
-    def _build(self, n, u, v, id_base):
-        # Both directions of every edge as keys tail * n + head; sorting
-        # groups them by tail with heads ascending, and a mask drops repeats
-        # (np.unique is far slower).  They sort and divide as uint32 where
-        # ``_key_dtypes`` says so, and the heads go back into the int64
-        # buffer the keys were built in: a CSR allocated last sits at the
-        # heap's top, and freeing it made glibc trim what the next parse faults in.
+    def _build(self, n, pairs, id_base):
+        # Both directions of every edge as keys tail * n + head, written over
+        # the pairs; sorting groups them by tail with heads ascending, and a
+        # mask drops repeats (np.unique is far slower).  They sort and divide
+        # as uint32 where ``_key_dtypes`` says so, and the heads go back into
+        # the pairs' memory.  So the CSR takes the memory the parse filled
+        # last, above the parse's freed temporaries in the heap: a CSR built
+        # in new memory lands in their holes, and freeing what lay above it
+        # made glibc trim the pages that the next parse faults in again.
         # Narrow keys (more than ``_FLOOR``) take their row pointers from
         # where the runs of equal tails start, each row's start carried back
         # over the empty rows before it: ``np.bincount`` would first copy
         # the uint32 tails to int64.  On int64 tails it is the faster.
-        half = len(u)
-        wide = np.empty(2 * half, dtype=np.int64)
-        np.multiply(u, n, out=wide[:half])
-        wide[:half] += v
-        np.multiply(v, n, out=wide[half:])
-        wide[half:] += u
+        half = len(pairs)
+        u, v = pairs.T
+        key = u * n
+        key += v
+        v *= n
+        v += u
+        u[...] = key
+        del key, u, v
+        wide = pairs.reshape(-1, order="A")  # a view of C- or column-major pairs
         keys = wide.astype(_key_dtypes(n, len(wide))[1], copy=False)
         keys.sort()
         fresh = _run_starts(keys)
@@ -131,111 +138,149 @@ def parse_graph(text: str) -> Graph:
 
     Only ASCII whitespace separates tokens and only ASCII line breaks end
     lines; any other character, a lone surrogate too, is part of a token.
-    The text's UTF-8 bytes are read by one numpy scan, whose checks run as
-    array masks over the tokens and die before the graph is built (held
-    longer, they cost repeated calls fresh pages).  The ParseError names the
-    first faulty line, and the first check it fails in the order: line kind,
-    token count, header numbers, vertex count, ids (u before v), id range,
-    self-loop.
+    The ParseError names the first faulty line, and the first check it fails
+    in the order: line kind, token count, header numbers, vertex count, ids
+    (u before v), id range, self-loop.
+
+    A text in the layout ``serialize_graph`` writes is read from the
+    positions of its separator bytes (``_separated``); any other text goes to
+    the token scan (``_tokenized``), which reads every accepted layout.  Both
+    end in the same checks of ``_parse``, so a fault inside the layout costs
+    one pass either way and is named as the token scan names it.
+    """
+    g = _parse(text, _separated)
+    if g is None:
+        from .tokens import _tokenized
+        g = _parse(text, _tokenized)
+    return g
+
+
+def __getattr__(name):  # the token scan's names, from the module that loads on first use
+    if name in ("_tokens", "_breaks"):
+        from . import tokens
+        return getattr(tokens, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_DIMACS = 1, ("vertex count", "edge count", "vertex id")  # id base, header and id names
+_PLAIN = 0, ("value", "value", "value")
+
+
+def _parse(text, route):
+    """The graph of ``text`` as ``route`` reads it, or None if the text is
+    not in the route's layout.
+
+    ``route(data, buf)`` gets the text's UTF-8 bytes and returns None or
+    ``(header, at, (base, what), (starts, ends, shift, signed), pending)``:
+    the header's two number tokens, a byte of the header line, the id base
+    and names of ``_DIMACS`` or ``_PLAIN``, id k of edge line j as
+    ``buf[starts[j, k] + shift[k]:ends[j, k]]`` (``signed`` if the text has a
+    ``-``), and the fault of a later line held back (or None).  It raises a
+    fault of the header line itself.  The checks run as array masks and die,
+    with the bytes, before the graph is built (held longer, they cost
+    repeated calls fresh pages).
     """
     data = text.encode("utf-8", "surrogatepass")
     buf = np.frombuffer(data, dtype=np.uint8)
-    bounds, head = _tokens(buf)
-    if len(bounds) == 0:
-        raise ParseError("empty input")
-    first = head.nonzero()[0]  # first token of each non-blank line
-    del head
-    starts, ends = bounds.T
-    at = starts[first]
-    lead = buf[at]
-    single = np.subtract(ends[first], at, out=at) == 1
-    del at
-    count = np.empty_like(first)  # tokens per line
-    np.subtract(first[1:], first[:-1], out=count[:-1])
-    count[-1] = len(bounds) - first[-1]
-
-    def token(i):
-        return buf[starts[i]:ends[i]].tobytes()
+    found = route(data, buf)
+    if found is None:
+        return None
+    header, at, (base, what), (starts, ends, shift, signed), pending = found
+    del found
 
     def fault(message, at):  # the ParseError naming the line of byte ``at``
         return ParseError(message, _line_no(data, at))
 
-    # A fault on the header line raises at once.  A later line of the wrong
-    # kind or token count is held in ``pending`` while the ids of the lines
-    # before it are read, and is raised only if they hold no fault.
-    pending, stop = None, len(first)
-    if single[0] and int(lead[0]) in b"cp":
-        # DIMACS-like: past the comment lines, one p line, then e lines
-        body = ~(single & (lead == ord("c")))
-        p = int(body.argmax())  # the first line that is not a comment
-        if not body[p]:
-            raise ParseError("missing problem line")
-        ok = (single & (lead == ord("e")) & (count == 3)) | ~body
-        ok[p] = single[p] and lead[p] == ord("p") and count[p] == 4 and token(first[p] + 1) == b"edge"
-        if not ok.all():
-            stop = int(ok.argmin())
-            kind = token(first[stop])
-            message = _KIND_FAULTS.get(kind, (f"unknown line type {_text(kind)!r}",) * 2)[stop > p]
-        body[:p + 1] = False
-        body[stop:] = False
-        header, line, base = first[p] + 2, first[body], 1
-        line += 1
-        what = "vertex count", "edge count", "vertex id"
-        del body
-    else:  # plain: a header line and edge lines of two numbers each
-        p, ok = 0, count == 2
-        if not ok.all():
-            stop, message = int(ok.argmin()), "expected two whitespace-separated integers"
-        header, line, base = first[0], first[1:stop], 0
-        what = "value", "value", "value"
-    if stop < len(first):
-        pending = fault(message, starts[first[stop]])
-        if stop == p:
-            raise pending
-    del first, count, lead, single, ok
-    n = _int(token(header))
-    for k, value in enumerate([n, _int(token(header + 1))]):
+    n = _int(header[0])
+    for k, value in enumerate([n, _int(header[1])]):
         if value is None:
-            raise fault(f"expected integer {what[k]}, got {_text(token(header + k))!r}",
-                        starts[header])
+            raise fault(f"expected integer {what[k]}, got {_text(header[k])!r}", at)
     if n < 0:
-        raise fault("vertex count must be non-negative", starts[header])
+        raise fault("vertex count must be non-negative", at)
     if n > MAX_VERTICES:
-        raise fault(f"vertex count exceeds {MAX_VERTICES}", starts[header])
-    # Edge line j's ids are tokens t and t + 1, whose four bounds lie side by
-    # side from bounds[t, 0]; read as one 32-byte item, they go to item j of
-    # the same memory ([start, end] of u, then of v).  Each line has two tokens
-    # or more, so t >= 2j + 2: item j ends before the rows of lines j and on,
-    # and a block, gathered before it is written, overwrites no row yet to read.
-    rows = np.ndarray(len(bounds) - 1, "V32", bounds, strides=bounds.strides[:1])
-    pairs = np.ndarray(len(line), "V32", bounds)
-    for lo in range(0, len(line), _BLOCK):
-        pairs[lo:lo + _BLOCK] = rows[line[lo:lo + _BLOCK]]
-    ids = pairs.view(np.int64).reshape(-1, 2)
-    del bounds, starts, ends, rows, pairs, line
-    values, bad = _scan_ints(buf, ids[:, 0], ids[:, 1], b"-" in data)
-    if bad < len(values):
-        start, end = ids[bad]
-        pending = fault(f"expected integer {what[2]}, got {_text(buf[start:end].tobytes())!r}", end)
-        values = values[:bad - bad % 2]  # the lines before it
+        raise fault(f"vertex count exceeds {MAX_VERTICES}", at)
+    values, bad = _scan_ints(buf, starts, ends, signed, shift)
+    if bad < values.size:
+        line, k = divmod(bad, 2)
+        end = ends[line, k]
+        token = buf[starts[line, k] + shift[k]:end].tobytes()
+        if not token or b"\n" in token:  # a line break or gap out of place: not the layout
+            return None
+        pending = fault(f"expected integer {what[2]}, got {_text(token)!r}", end)
+        values = values[:line]  # the lines before it
     values -= base
-    u, v = values[0::2], values[1::2]
+    u, v = values[:, 0], values[:, 1]
     if len(values) and (values.min() < 0 or values.max() >= n or (u == v).any()):
         out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         j = int((out | (u == v)).argmax())
         raise fault(f"vertex id out of range {base}..{n + base - 1}" if out[j]
-                    else f"self-loop at vertex {u[j] + base}", ids[2 * j, 1])
+                    else f"self-loop at vertex {u[j] + base}", ends[j, 0])
     if pending is not None:
         raise pending
-    del data, buf, ids
-    return Graph._from_arrays(n, u, v, base)
+    del data, buf, starts, ends, u, v
+    return Graph._from_pairs(n, values, base)
 
 
-# the fault of a p or e line that fails the DIMACS checks as the first line
-# past the comments, and as a later line
-_KIND_FAULTS = {b"p": ("problem line must be 'p edge <n> <m>'", "duplicate problem line"),
-                b"e": ("edge line before problem line", "edge line must be 'e <u> <v>'")}
-_BLOCK = 2**15  # ids or tokens per block of ``_tokens``, ``parse_graph`` and ``_scan_ints``: L2-sized
+def _separated(data, buf):
+    """``_parse``'s route for the canonical layout, None for any other text.
+
+    The layout: comment lines ``c <text>``, then ``p edge <n> <m>`` and edge
+    lines ``e <u> <v>``; or ``<n> <m>`` and lines ``<u> <v>``.  Single
+    spaces, header numbers of ASCII digits, and every line ended by the same
+    LF or CRLF, the last line too.
+
+    The header is read with ``bytes`` methods.  The separators are the bytes
+    below ``'0'`` from the header's line break on, an LF that ends a CRLF
+    excepted: one compare marks them, one ``nonzero`` lists them.  The text
+    has the layout iff they run line break, space (space), line break, ...,
+    and each line break but the last is followed by the rest of its CRLF and
+    the ``e `` of a DIMACS line.  An id is then the bytes between two
+    separators, read through strided views of their positions, with no copy.
+    An id that is empty or holds a stray LF is out of the layout too;
+    ``_parse`` finds it as a bad id and returns None.
+    """
+    lf = data.find(b"\n")
+    eol = b"\r\n" if data[lf - 1:lf] == b"\r" else b"\n"
+    head = 0  # where the header line starts
+    if data.startswith(b"c "):  # comment lines up to the problem line
+        head = data.find(b"\np") + 1
+        lines = data.count(b"\n", 0, head)
+        crs = lines if len(eol) == 2 else 0  # the CRs of their CRLFs
+        if (not head or data.count(b"\nc ", 0, head) != lines - 1
+                or data.count(b"\r\n", 0, head) != crs
+                or sum(data.count(c, 0, head) for c in _BREAK_BYTES[1:]) != crs):
+            return None
+    end = data.find(b"\n", head) + 1  # where the edge lines start
+    fields = data[head:end - len(eol)].split(b" ")
+    dimacs = fields[:2] == [b"p", b"edge"]
+    numbers = fields[2:] if dimacs else fields
+    if (not end or not data.endswith(eol) or data[end - len(eol):end] != eol
+            or len(numbers) != 2 or not (numbers[0].isdigit() and numbers[1].isdigit())):
+        return None
+    k = 2 + dimacs  # separators per edge line
+    sep = buf < ord("0")
+    if len(eol) == 2:
+        sep &= buf != ord("\n")
+    sep[:end - len(eol)] = False
+    sep = sep.nonzero()[0]
+    lines, rest = divmod(len(sep) - 1, k)
+    mark = eol[:1]
+    if rest or buf[sep].tobytes() != (mark + b" " * (k - 1)) * lines + mark:
+        return None
+    follow = eol[1:] + b"e " * dimacs
+    if lines and follow:
+        after = np.ndarray(len(data) - len(follow), f"S{len(follow)}", data, 1, (1,))
+        if after[sep[:-1:k]].tobytes() != follow * lines:
+            return None
+    # the separators before and after the ids of line j: [k j + k - 2, k j + k - 1]
+    # and [k j + k - 1, k j + k]
+    starts, ends = (np.ndarray((lines, 2), sep.dtype, sep, i * sep.itemsize * (lines > 0),
+                               (k * sep.itemsize, sep.itemsize)) for i in (k - 2, k - 1))
+    shift = (1, 1) if dimacs else (len(eol), 1)
+    return numbers, head, _DIMACS if dimacs else _PLAIN, (starts, ends, shift, False), None
+
+
+_BLOCK = 2**15  # ids or tokens per block of ``_scan_ints`` and the token scan: L2-sized
 # Arrays of at most this many entries keep int64 and the plainest ops: below
 # it, narrow dtypes and extra steps cost more in setup than they save.
 _FLOOR = 1024
@@ -256,18 +301,7 @@ def _run_starts(keys):
     return fresh
 
 
-def _between(buf, lo, hi):
-    """Mask of the bytes in lo..hi (uint8 arithmetic wraps the rest above)."""
-    return buf - np.uint8(lo) <= np.uint8(hi - lo)
-
-
 _BREAK_BYTES = b"\n\x0b\x0c\r\x1c\x1d\x1e"
-
-
-def _breaks(buf):
-    """Mask of the ASCII bytes ``str.splitlines()`` ends lines at, the
-    ``_BREAK_BYTES``."""
-    return _between(buf, 10, 13) | _between(buf, 28, 30)
 
 
 def _line_no(data: bytes, at) -> int:
@@ -276,83 +310,28 @@ def _line_no(data: bytes, at) -> int:
     return 1 + sum(data.count(c, 0, at) for c in _BREAK_BYTES) - data.count(b"\r\n", 0, at)
 
 
-def _tokens(buf):
-    """``(bounds, head)`` of the tokens of the bytes ``buf``: token i is
-    ``buf[bounds[i, 0]:bounds[i, 1]]``, and ``head[i]`` is True when it is
-    the first token of its line.
-
-    Tokens are cut at ASCII whitespace and lines at ASCII line breaks, as
-    ``str.split`` and ``str.splitlines`` cut ASCII text; every byte from
-    0x80 up is part of a token, so a token never splits a UTF-8 sequence.
-    One scan of the space-padded bytes finds the starts and ends, alternating.
-
-    Token 0 opens a line, and token i > 0 does iff the gap of whitespace
-    ``buf[ends[i - 1]:starts[i]]`` before it (``starts, ends = bounds.T``)
-    holds a line break.  Only the first and last byte of each gap are read,
-    which settles every gap of one or two bytes (a CRLF, a trailing space, an
-    indent); a longer gap with no break at either end is settled by a search
-    over the break positions.  Where every gap is one byte, as counted from
-    the whitespace, the last byte is the first and is not read again.
-
-    The whitespace mask is written straight into the padded ``space`` array,
-    each byte class through one reused uint8 temporary, so building it holds
-    two bytes per byte of text: ``space`` and the temporary.
-    """
-    space = np.empty(len(buf) + 2, dtype=bool)
-    space[0] = space[-1] = True
-    # the ASCII bytes str.split() cuts at, 9..13 and 28..32
-    mask, low = space[1:-1], np.empty(len(buf), dtype=np.uint8)
-    np.less_equal(np.subtract(buf, np.uint8(9), out=low), np.uint8(4), out=mask)
-    np.less_equal(np.subtract(buf, np.uint8(28), out=low), np.uint8(4), out=low.view(bool))
-    mask |= low.view(bool)
-    del mask, low
-    whitespace = np.count_nonzero(space) - 2
-    edges = space[1:] != space[:-1]
-    del space
-    bounds = edges.nonzero()[0].reshape(-1, 2)
-    del edges
-    starts, ends = bounds.T
-    head = np.empty(len(bounds), dtype=bool)
-    head[:1] = True
-    head[1:] = _breaks(buf[ends[:-1]])  # the first byte of each gap
-    # whitespace outside the gaps: before the first token and after the last
-    outside = len(buf) - ends[-1] + starts[0] if len(bounds) else 0
-    # some gap has two bytes or more
-    if len(bounds) > 1 and whitespace - outside > len(bounds) - 1:
-        # the gaps before tokens lo..hi - 1, _BLOCK at a time: their last
-        # bytes' positions go to one reused buffer
-        last = np.empty(min(len(bounds) - 1, _BLOCK), dtype=np.int64)
-        wide = []  # tokens after an unsettled gap of three bytes or more
-        for lo in range(1, len(bounds), _BLOCK):
-            hi = min(lo + _BLOCK, len(bounds))
-            at = np.subtract(starts[lo:hi], 1, out=last[:hi - lo])
-            opens = head[lo:hi]
-            opens |= _breaks(buf[at])
-            np.subtract(at, ends[lo - 1:hi - 1], out=at)  # the gap's width - 1
-            wide.append(((at > 1) & ~opens).nonzero()[0] + lo)
-        wide = np.concatenate(wide)
-        if len(wide):
-            breaks = _breaks(buf).nonzero()[0]
-            head[wide] = (breaks.searchsorted(starts[wide])
-                          > breaks.searchsorted(ends[wide - 1]))
-    return bounds, head
-
-
-def _scan_ints(buf, starts, ends, signed=True):
-    """``(values, bad)``: the tokens ``buf[starts[i]:ends[i]]`` as int64
-    values, and the index of the first token that is not an integer, or
-    ``len(values)`` if every one is.  Values past the block of the bad token
+def _scan_ints(buf, starts, ends, signed=True, shift=0):
+    """``(values, bad)``: the tokens ``buf[starts[i] + shift:ends[i]]`` as
+    int64 values in an array shaped as ``starts``, and the index in the
+    flattened array of the first token that is not an integer, or
+    ``values.size`` if every one is.  Values past the block of the bad token
     are left 0.
+
+    ``starts`` and ``ends`` may be strided views.  If they are 2-d, ``shift``
+    gives each column's shift, and each column is read as one 1-d run and
+    kept as one: the values come back as a column-major array, and the
+    scratch arrays hold a block column by column (numpy runs an op on rows
+    of two ids one row at a time).
 
     An integer is ``-?[0-9]+`` that ``int()`` reads, as ``_int`` reads the
     header's: ``int()`` caps the digits.  Leading zeros are dropped, and an
     integer of more than 18 digits even then, beyond any vertex id, reads as
     +-10**18.
 
-    Ids are read right-aligned, ``_BLOCK`` at a time: where the block's
-    widest id has w digits, pass k reads byte ``ends[i] - w + k`` of id i (0
-    before id i starts).  Each block's digits are checked once, by their
-    maximum.
+    Ids are read right-aligned, ``_BLOCK`` at a time (whole rows of a 2-d
+    array): where the block's widest id has w digits, pass k reads byte
+    ``ends[i] - w + k`` of id i (0 before id i starts).  Each block's digits
+    are checked once, by their maximum.
 
     A block of more than ``_FLOOR`` ids whose widest has at most 4 digits
     sums its digits in uint16, and one of at most 9 digits in uint32: 9,999
@@ -362,51 +341,68 @@ def _scan_ints(buf, starts, ends, signed=True):
     With ``signed`` False the caller has found no ``-`` in ``buf``, and the
     signs are neither gathered nor applied.
     """
-    value = np.zeros(len(starts), dtype=np.int64)
-    block = min(len(value), _BLOCK)
-    pos = np.empty(block, dtype=np.int64)
-    top, dig, lag = np.empty(block, np.uint8), np.empty(block, np.uint8), np.empty(block, np.uint8)
-    for lo in range(0, len(value), _BLOCK):
-        val = value[lo:lo + _BLOCK]
-        wid, digit, most, skip = pos[:len(val)], dig[:len(val)], top[:len(val)], lag[:len(val)]
-        np.subtract(ends[lo:lo + _BLOCK], starts[lo:lo + _BLOCK], out=wid)
+    value = np.zeros(starts.shape[::-1], dtype=np.int64)  # a 2-d one column by column
+    per = value.size // len(starts) if len(starts) else 1  # ids per row
+    lag = np.array(shift).reshape(-1, 1) if starts.ndim > 1 else shift
+    shifted = np.count_nonzero(lag) > 0
+    rows = max(_BLOCK // per, 1)
+    block = min(value.size, rows * per)
+    pos, acc64 = np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64)
+    top, dig, pad = np.empty(block, np.uint8), np.empty(block, np.uint8), np.empty(block, np.uint8)
+    for lo in range(0, len(starts), rows):
+        first, last, val = starts[lo:lo + rows].T, ends[lo:lo + rows].T, value[..., lo:lo + rows]
+        wid, digit, most, skip = pos[:val.size], dig[:val.size], top[:val.size], pad[:val.size]
+        shaped = wid.reshape(val.shape)
+        np.subtract(last, first, out=shaped)
+        if shifted:
+            shaped -= lag
         if signed:
-            sign = buf[starts[lo:lo + _BLOCK]] == ord("-")
+            sign = (buf[first + lag] == ord("-")).reshape(-1)
             wid -= sign
-        huge = wide = (wid > 18).nonzero()[0]
-        if len(wide):  # those with a nonzero byte before their last 18 digits go to _int
-            cut = ends[lo:lo + _BLOCK][wide] - 18
-            lead = np.stack((cut + 18 - wid[wide], cut), axis=1).ravel()  # [first digit, cut)
-            low = int(lead.min())
-            nonzero = np.logical_or.reduceat(buf[low:int(cut.max()) + 1] != ord("0"), lead - low)
-            huge = wide[nonzero[::2]]
-            wid[wide] = 18
-            for i in huge.tolist():
-                if _int(buf[starts[lo + i]:ends[lo + i]].tobytes()) is None:
-                    wid[i] = 0  # read as no digits: a bad token
         w = int(wid.max())
+        huge = None
+        if w > 18:  # ids with a nonzero byte before their last 18 digits go to _int
+            wide = (wid > 18).nonzero()[0]
+            end = last.flat[wide]
+            cut = end - 18
+            lead = np.stack((end - wid[wide], cut), axis=1).ravel()  # [first digit, cut)
+            low = int(lead.min())
+            nonzero = np.logical_or.reduceat(buf[low:int(cut.max()) + 1] != ord("0"),
+                                             lead - low)[::2]
+            huge = wide[nonzero]
+            wid[wide] = 18
+            for i, a, b in zip(huge.tolist(), lead[::2][nonzero].tolist(), end[nonzero].tolist()):
+                digits = buf[a:b].tobytes()  # past the one sign the width left out
+                if not digits.isdigit() or _int(digits) is None:
+                    wid[i] = 0  # read as no digits: a bad token
+            w = int(wid.max())
         np.subtract(w, wid, out=skip, casting="unsafe")  # passes before id i starts: w if none
-        at = np.subtract(ends[lo:lo + _BLOCK], w, out=wid)  # the widths are not read again
+        late = int(skip.max())  # the passes that read before some id starts
+        np.subtract(last, w, out=shaped)  # where pass 0 reads: the widths are not read again
         most.fill(0)  # largest digit per id
-        acc = val
-        if len(val) > _FLOOR and w <= 9:
-            acc = np.zeros(len(val), np.uint16 if w <= 4 else np.uint32)
+        if val.size > _FLOOR and w <= 9:
+            acc = np.zeros(val.size, np.uint16 if w <= 4 else np.uint32)
+        else:
+            acc = acc64[:val.size]
+            acc.fill(0)
         for k in range(w):
-            buf.take(at, mode="clip", out=digit)
+            buf.take(wid, mode="clip", out=digit)
             digit -= np.uint8(ord("0"))  # wraps above 9 for non-digits
-            np.putmask(digit, skip > k, 0)
+            if k < late:
+                np.putmask(digit, skip > k, 0)
             np.maximum(most, digit, out=most)
             acc *= 10
             acc += digit
-            at += 1
-        if acc is not val:
-            val[...] = acc
-        val[huge] = 10**18
+            wid += 1
+        val[...] = acc.reshape(val.shape)
+        if huge is not None:  # after the narrow sums, which cannot hold it
+            val[np.unravel_index(huge, val.shape)] = 10**18
         if signed:
-            np.negative(val, out=val, where=sign)
-        if skip.max() >= w or most.max() > 9:  # an id of no digits, or a non-digit
-            return value, lo + int(((skip >= w) | (most > 9)).argmax())
-    return value, len(value)
+            np.negative(val, out=val, where=sign.reshape(val.shape))
+        if late >= w or most.max() > 9:  # an id of no digits, or a non-digit
+            bad = ((skip >= w) | (most > 9)).reshape(val.shape).T  # in row order
+            return value.T, lo * per + int(bad.argmax())
+    return value.T, value.size
 
 
 def _int(token: bytes) -> int | None:

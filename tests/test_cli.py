@@ -424,6 +424,14 @@ def test_bench_json_holds_what_the_table_prints(capsys, tmp_path):
     assert f"{doc['rows'][1]['ratio']:.2f}" == table[1][8]
 
 
+
+def test_bench_json_rows_time_the_report_and_the_file_both_ways(capsys, tmp_path):
+    path = tmp_path / "bench.json"
+    code, _, _ = run_cli(capsys, "bench", "--sizes", "300", "--seed", "3", "--json", str(path))
+    assert code == 0
+    (row,) = json.loads(path.read_text())["rows"]
+    assert all(row[key] > 0 for key in ("report_s", "serialize_s", "parse_s"))
+
 @pytest.mark.parametrize("sizes", ["0", "300,0", "300,20000000"])
 def test_bench_rejects_a_bad_size_before_any_output(capsys, sizes):
     code, out, err = run_cli(capsys, "bench", "--sizes", sizes, "--seed", "1")

@@ -553,6 +553,143 @@ def test_a_fault_on_the_last_line_peaks_no_higher_than_a_parse(megabyte_text, fa
     assert ratio <= 1.1, ratio
 
 
+# On the separator route the ids' bounds are strided views of the separator
+# positions, with no table of token bounds: measured 5.5 and 5.6 times the
+# text, where the token scan peaks at 7.7 and 7.1.
+@pytest.mark.parametrize("layout, bound", [("dimacs", 7.7), ("plain", 7.1)])
+def test_separator_route_peaks_below_the_token_scan(layout, bound):
+    g = random_strictly_chordal(GenParams(seed=1, target_n=3200, max_block_size=30, max_twins=2))
+    text = _layout_text(g, layout)
+    assert graph_module._parse(text, graph_module._separated) is not None
+    ratio = _parse_peak_ratio(text)
+    assert ratio < bound, ratio
+
+
+# A text that fails the layout check pays one separator scan before the
+# token scan reads it: measured 1.5 parses of the canonical text.
+def test_a_layout_break_on_the_last_line_costs_about_one_parse(megabyte_text):
+    body, last = megabyte_text[:-1].rsplit("\n", 1)
+    text = body + "\n" + last.replace(" ", "\t", 1) + "\n"
+    assert graph_module._parse(text, graph_module._separated) is None
+    csr = parse_graph(megabyte_text).csr()
+    assert all(np.array_equal(x, y) for x, y in zip(parse_graph(text).csr(), csr))
+    ratio = _best_parse_s(text) / _best_parse_s(megabyte_text)
+    assert ratio <= 3, ratio
+
+
+def test_a_doubled_sign_before_a_wide_id_is_not_an_integer():
+    # the width leaves one sign out, and the bytes past it must be digits
+    token = "--" + "1" * 19
+    with pytest.raises(ParseError) as info:
+        parse_graph(f"3 1\n0 {token}\n")
+    assert str(info.value) == f"line 2: expected integer value, got '{token}'"
+
+
+@pytest.mark.parametrize("bad", ["a" * 20, "1" * 19 + "x"])
+def test_a_wide_bad_id_among_narrow_ones_is_named(bad):
+    # the block's other ids are summed in uint16; the wide one is read by
+    # _int, found bad, and never given the wide ids' value 10**18
+    rows = ["0 1"] * 1500 + [f"0 {bad}"]
+    with pytest.raises(ParseError) as info:
+        parse_graph("5 9\n" + "\n".join(rows) + "\n")
+    assert str(info.value) == f"line 1502: expected integer value, got '{bad}'"
+
+
+def _token_route(text):
+    """The graph or fault of ``text`` as the token scan alone reads it."""
+    from strictchordal.tokens import _tokenized
+    return graph_module._parse(text, _tokenized)
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return [a.tolist() for a in g.csr()], g.id_base, g.duplicate_edge_count
+
+
+@st.composite
+def _canonical_lines(draw):
+    """``(lines, eol)`` of a text in the layout ``serialize_graph`` writes,
+    with 0-3 comment lines before a DIMACS header, or plain.  Ids may repeat,
+    fall out of range, make self-loops, carry leading zeros or run past 18
+    digits."""
+    dimacs, n = draw(st.booleans()), draw(st.integers(0, 9))
+    value = st.integers(-1, n + 1).map(lambda v: max(v + dimacs, 0))
+    token = st.one_of(value.map(str), value.map(str), st.tuples(value, st.integers(2, 25)).map(
+        lambda vw: str(vw[0]).zfill(vw[1])), st.integers(10**18, 10**21).map(str))
+    edges = draw(st.lists(st.tuples(token, token), max_size=8))
+    m = draw(st.sampled_from([len(edges), 0, 99]))
+    if dimacs:
+        comments = draw(st.lists(st.text("cx é\t0", max_size=6).map("c ".__add__), max_size=3))
+        lines = comments + [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    else:
+        lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+    return lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+_EDITS = ["cr", "eol", "tab", "double", "lead", "blank", "comment", "no_final", "sign", "char",
+          "E", "missing", "extra"]
+
+
+def _edited(draw, lines, eol):
+    """The text of ``lines`` with one edit that takes it out of the layout, or
+    keeps it in but changes what it says."""
+    lines, edit = list(lines), draw(st.sampled_from(_EDITS))
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    spaces = [k for k, c in enumerate(line) if c == " "]
+    at = draw(st.sampled_from(spaces)) if spaces else len(line)
+    if edit == "cr":
+        lines[i] += "\r"
+    elif edit in ("tab", "double"):
+        lines[i] = line[:at] + ("\t" if edit == "tab" else "  ") + line[at + 1:]
+    elif edit == "lead":
+        lines[i] = " " + line
+    elif edit in ("blank", "comment"):
+        lines.insert(i + 1, "" if edit == "blank" else "c x")
+    elif edit == "sign":
+        lines[i] = line[:at + 1] + draw(st.sampled_from("-+")) + line[at + 1:]
+    elif edit == "char":
+        k = draw(st.integers(0, len(line)))
+        lines[i] = line[:k] + draw(st.sampled_from(["é", "\ud800", "\u2003", "\x85"])) + line[k:]
+    elif edit == "E":
+        lines[i] = "E" + line[1:]
+    elif edit == "missing":
+        lines[i] = line.rsplit(" ", 1)[0]
+    elif edit == "extra":
+        lines[i] = line + " 7"
+    ends = [eol] * len(lines)
+    if edit == "eol":  # one line ended by the other of LF and CRLF
+        ends[i] = "\n" if eol == "\r\n" else "\r\n"
+    elif edit == "no_final":
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_canonical_lines(), st.data())
+def test_separator_route_reads_as_the_token_scan_does(case, data):
+    lines, eol = case
+    text = eol.join(lines) + eol
+    # the canonical text takes the separator route, to its graph or fault
+    with contextlib.suppress(ParseError):
+        assert graph_module._parse(text, graph_module._separated) is not None
+    for one in (text, _edited(data.draw, lines, eol)):
+        assert _outcome(parse_graph, one) == _outcome(_token_route, one), repr(one)
+
+
+# Line breaks out of place that take two edits: a bare LF where a CRLF text
+# has a token gap (read as one id holding the LF), and comment lines whose CRs
+# and LFs are as many but do not pair up.
+@pytest.mark.parametrize("text", ["2 1\r\n0\n1 0\r\n",
+                                  "c a\r\nc x\ry\np edge 2 1\r\ne 1 2\r\n"])
+def test_separator_route_leaves_line_breaks_out_of_place_to_the_token_scan(text):
+    assert graph_module._parse(text, graph_module._separated) is None
+    assert _outcome(parse_graph, text) == _outcome(_token_route, text)
+
+
 def test_duplicate_edges_collapsed():
     g = parse_graph("p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 1 2\n")
     assert g.m == 2
